@@ -3,13 +3,37 @@
 The fitting recipe: for every candidate threshold (a distinct sample value
 with enough observations above it) estimate alpha by maximum likelihood,
 score the fit by the KS distance between the empirical tail and the fitted
-model, and keep the candidate with the smallest distance. A semiparametric
-bootstrap turns the observed KS distance into a goodness-of-fit p-value.
+model, and keep the candidate the KS rule picks (the minimum, or the
+threshold FitOptions.ks_allowance prefers among near-minimal ones). A
+semiparametric bootstrap turns the observed KS distance into a
+goodness-of-fit p-value.
 
-The scan is incremental: one sort, prefix sums of log-values, O(1) alpha per
-candidate and a vectorized KS pass over each candidate's distinct tail.
+The scan sorts once and keeps prefix sums of log-values, so the continuous
+alphas of all candidates are one vectorized closed form (the discrete kind
+runs a golden-section MLE per candidate). A candidate's KS distance is the
+maximum of the pointwise gap `powerlaw.ks_gap` over its distinct tail, and
+that full pass is made only for candidates that can still matter:
+
+1. Lower bound: the gap maximized over every 64th distinct point of a tail
+   (starting at its threshold) cannot exceed the maximum over all of them.
+   These bounds are computed for all candidates at once, in chunks of at
+   most max(N/8, 2^14) points for N distinct values.
+2. Exact minimum: exact distances are computed in ascending order of the
+   bounds until the next bound exceeds the best exact distance so far.
+   Every remaining candidate's distance is at least its bound, so the best
+   is the global minimum `ks_min`.
+3. Selection: the rule walks the candidates in its order and computes the
+   exact distance of each one whose bound does not already put it outside
+   `ks_min + allowance/sqrt(n_tail)`; the first inside the band wins.
+
+A bound comes from the same formulas as the exact pass, but the gathered
+evaluation may differ from the contiguous one in the last bit, so both
+comparisons carry a 1e-12 margin. No candidate the exhaustive scan would
+keep is pruned, and the chosen fit and its KS value are the exhaustive
+scan's, bit for bit.
 """
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -18,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTail, DomainError, KindMismatch, SampleTooSmall
-from .powerlaw import PowerLawModel, hurwitz_zeta, ks_distance, pl_ppf
+from .powerlaw import PowerLawModel, hurwitz_zeta, ks_distance, ks_gap, pl_ppf
 from .rng import make_rng
 from .sample import CONTINUOUS, Sample
 
@@ -91,12 +115,17 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class GofResult:
-    """Bootstrap goodness-of-fit: p_value = #(replicate KS >= observed)/n_boot."""
+    """Bootstrap goodness-of-fit: p_value = #(replicate KS >= observed)/n_boot.
+
+    n_failed replicates could not be refit (too few or only degenerate
+    threshold candidates); each counts as a KS at least the observed one.
+    """
 
     p_value: float
     n_boot: int
     observed_ks: float
     seed: int
+    n_failed: int
 
 
 # -- maximum likelihood ------------------------------------------------------
@@ -147,6 +176,11 @@ def _golden_min(f, lo, hi, tol):
 _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL = 1.01, 6.0, 1e-6
 
 
+def _zeta_negll(sum_logx, n, xmin):
+    """Negative discrete log-likelihood in alpha, from n and sum(log x)."""
+    return lambda a: a * sum_logx + n * math.log(hurwitz_zeta(a, xmin))
+
+
 def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
     """Discrete MLE above integer xmin.
 
@@ -167,8 +201,7 @@ def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
     n = x.size
     sum_logx = float(np.log(x).sum())
     if exact:
-        def negll(a):
-            return a * sum_logx + n * math.log(hurwitz_zeta(a, xmin))
+        negll = _zeta_negll(sum_logx, n, xmin)
         alpha = _golden_min(negll, _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
         loglik = -negll(alpha)
     else:
@@ -202,6 +235,93 @@ def _candidate_indices(dv, dcum, n, min_tail, cap):
     return cand
 
 
+_LB_STRIDE = 64         # a lower bound looks at every 64th distinct tail point
+_LB_CHUNK_MIN = 1 << 14  # smallest chunk of gathered points, bounding loop overhead
+_LB_MARGIN = 1e-12      # absorbs last-bit differences between bound and exact pass
+
+
+class _Candidates:
+    """Usable threshold candidates of one sample, with their MLE fits.
+
+    Per candidate i: k0[i], the index of its threshold among the distinct
+    values; below[i], the observations under it; m[i], its tail size;
+    alpha[i]; and, for the discrete kind, z0[i] = zeta(alpha[i], xmin).
+    Candidates are in ascending threshold order.
+    """
+
+    def __init__(self, x: np.ndarray, opts: FitOptions):
+        n = x.size
+        self.kind = opts.kind
+        self.dv, self.dcount, self.dcum, self.dt, wsuffix = _distinct_stats(x)
+        cand = _candidate_indices(self.dv, self.dcum, n, opts.min_tail, opts.candidate_cap)
+        if cand.size == 0:
+            raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
+        below = np.concatenate(([0], self.dcum[:-1]))[cand]
+        m = n - below
+        sum_logs = wsuffix[cand] - m * self.dt[cand]
+        keep = sum_logs > 0.0
+        if not keep.any():
+            raise DegenerateTail("every candidate tail was degenerate")
+        self.k0, self.below, self.m = cand[keep], below[keep], m[keep]
+        if self.kind == CONTINUOUS:
+            self.alpha = 1.0 + self.m / sum_logs[keep]
+            self.z0 = None
+        else:
+            self.alpha = np.array([
+                _golden_min(_zeta_negll(float(wsuffix[k]), int(mk), float(self.dv[k])),
+                            _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
+                for k, mk in zip(self.k0, self.m)])
+            self.z0 = np.array([hurwitz_zeta(a, float(self.dv[k]))
+                                for a, k in zip(self.alpha, self.k0)])
+
+    def gaps(self, pts, i):
+        """KS gaps of candidate(s) i at distinct indices pts.
+
+        Either i is one candidate and pts a slice of its tail, or both are
+        arrays of equal length pairing each point with its candidate.
+        """
+        k0, below, m, alpha = self.k0[i], self.below[i], self.m[i], self.alpha[i]
+        cle = self.dcum[pts] - below
+        e_hi = cle / m
+        e_lo = (cle - self.dcount[pts]) / m
+        if self.kind == CONTINUOUS:
+            F = 1.0 - np.exp((1.0 - alpha) * (self.dt[pts] - self.dt[k0]))
+            return ks_gap(F, e_hi, e_lo)
+        z0 = self.z0[i]
+        F_hi = 1.0 - hurwitz_zeta(alpha, self.dv[pts] + 1.0) / z0
+        # lower step edge of an integer support sits at F(v-1) = 1 - P(X >= v)
+        F_lo = 1.0 - hurwitz_zeta(alpha, self.dv[pts]) / z0
+        return ks_gap(F_hi, e_hi, e_lo, F_lo)
+
+    def exact_ks(self, i: int) -> float:
+        """KS distance of candidate i: the gap maximized over its whole tail."""
+        return float(self.gaps(slice(self.k0[i], None), i).max())
+
+    def lower_bounds(self) -> np.ndarray:
+        """Per-candidate gap maximum over tail points k0, k0 + 64, ...
+
+        Candidates are taken in chunks whose gathered points number at most
+        max(N/8, 2^14) for N distinct values, or one candidate's points.
+        """
+        n_dist = self.dv.size
+        npts = (n_dist - self.k0 + _LB_STRIDE - 1) // _LB_STRIDE
+        ends = npts.cumsum()
+        budget = max(n_dist // 8, _LB_CHUNK_MIN)
+        lb = np.empty(self.k0.size)
+        lo = 0
+        while lo < self.k0.size:
+            base = ends[lo] - npts[lo]
+            hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
+            counts = npts[lo:hi]
+            starts = ends[lo:hi] - counts - base
+            rows = np.repeat(np.arange(lo, hi), counts)
+            step = np.arange(rows.size) - np.repeat(starts, counts)
+            pts = self.k0[rows] + _LB_STRIDE * step
+            lb[lo:hi] = np.maximum.reduceat(self.gaps(pts, rows), starts)
+            lo = hi
+        return lb
+
+
 def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     """Pick the threshold whose MLE fit minimizes the KS distance.
 
@@ -211,6 +331,14 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     the integer-count rule the largest (see FitOptions.ks_allowance); exact
     ties break the same way. With `opts.xmin_override` the scan is skipped
     entirely.
+
+    The scan runs in three phases (see the module docstring): strided lower
+    bounds on every candidate's KS distance, exact distances in ascending
+    bound order until no remaining bound can beat the best (`ks_min`), and
+    the rule's walk, which skips candidates whose bound exceeds their band
+    `ks_min + allowance/sqrt(n_tail)`. Since a bound never exceeds its
+    candidate's distance (up to a 1e-12 margin), the result equals that of
+    computing every candidate's distance, bit for bit.
     """
     opts = opts or FitOptions()
     x = s.values
@@ -221,52 +349,30 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     if opts.xmin_override is not None:
         return _fit_at(x, float(opts.xmin_override), opts.kind)
 
-    dv, dcount, dcum, dt, wsuffix = _distinct_stats(x)
-    cand = _candidate_indices(dv, dcum, n, opts.min_tail, opts.candidate_cap)
-    if cand.size == 0:
-        raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
+    c = _Candidates(x, opts)
+    lb = c.lower_bounds()
+    ks_of = functools.cache(c.exact_ks)
+    ks_min = math.inf
+    for i in np.argsort(lb, kind="stable"):
+        if lb[i] > ks_min + _LB_MARGIN:
+            break
+        ks_min = min(ks_min, ks_of(int(i)))
 
-    scanned = []  # (k0, m, ks) in ascending threshold order
-    for k0 in cand:
-        below = dcum[k0 - 1] if k0 > 0 else 0
-        m = int(n - below)
-        sum_logs = float(wsuffix[k0]) - m * float(dt[k0])
-        if sum_logs <= 0.0:
-            continue
-        if opts.kind == CONTINUOUS:
-            alpha = 1.0 + m / sum_logs
-            F = 1.0 - np.exp((1.0 - alpha) * (dt[k0:] - dt[k0]))
-        else:
-            sum_logx = float(wsuffix[k0])
-            def negll(a, _sl=sum_logx, _m=m, _xm=float(dv[k0])):
-                return a * _sl + _m * math.log(hurwitz_zeta(a, _xm))
-            alpha = _golden_min(negll, _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
-            z0 = hurwitz_zeta(alpha, float(dv[k0]))
-            F = 1.0 - hurwitz_zeta(alpha, dv[k0:] + 1.0) / z0
-        cle = dcum[k0:] - below
-        e_hi = cle / m
-        e_lo = (cle - dcount[k0:]) / m
-        if opts.kind == CONTINUOUS:
-            F_lo = F
-        else:
-            # lower step edge of an integer support sits at F(v-1) = 1 - P(X >= v)
-            F_lo = 1.0 - hurwitz_zeta(alpha, dv[k0:]) / z0
-        ks = max(float(np.abs(F - e_hi).max()), float(np.abs(F_lo - e_lo).max()))
-        scanned.append((int(k0), m, ks))
-
-    if not scanned:
-        raise DegenerateTail("every candidate tail was degenerate")
     allowance = opts.resolved_allowance()
-    ks_min = min(ks for _, _, ks in scanned)
-    ordered = scanned if opts.kind == CONTINUOUS else reversed(scanned)
-    k0, m, ks = next(t for t in ordered
-                     if t[2] <= ks_min + allowance / math.sqrt(t[1]))
-    xmin = float(dv[k0])
+    ordered = range(c.k0.size) if opts.kind == CONTINUOUS else range(c.k0.size - 1, -1, -1)
+
+    def in_band(i):
+        band = ks_min + allowance / math.sqrt(c.m[i])
+        return lb[i] <= band + _LB_MARGIN and ks_of(i) <= band
+
+    i = next(i for i in ordered if in_band(i))
+    m = int(c.m[i])
+    xmin = float(c.dv[c.k0[i]])
     if opts.kind == CONTINUOUS:
         alpha, stderr, loglik = mle_alpha_continuous(x[n - m:], xmin)
     else:
         alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin, exact=True)
-    return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
+    return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks_of(i),
                    stderr=stderr, loglik=loglik, kind=opts.kind)
 
 
@@ -300,7 +406,7 @@ def _one_replicate(args):
     try:
         return select_xmin(rep, opts).ks
     except (SampleTooSmall, DegenerateTail):
-        return math.inf  # pathological replicate counts against the null
+        return None  # pathological replicate counts against the null
 
 
 def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
@@ -310,7 +416,8 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
     Each replicate draws |s| observations: with probability n_tail/n from the
     fitted power law above xmin, otherwise uniformly from the empirical body
     below xmin. Replicates are refit with the same options, and the p-value
-    is the exact fraction with KS distance >= the observed one. Replicate
+    is the exact fraction with KS distance >= the observed one; a replicate
+    whose refit raises counts as >= and is reported in `n_failed`. Replicate
     streams derive from (seed, index), so results do not depend on `workers`.
     """
     if n_boot < 100:
@@ -324,8 +431,10 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
             ks_reps = list(pool.map(_one_replicate, args, chunksize=max(1, n_boot // (8 * workers))))
     else:
         ks_reps = [_one_replicate(a) for a in args]
-    n_ge = sum(1 for d in ks_reps if d >= fit.ks)
-    return GofResult(p_value=n_ge / n_boot, n_boot=n_boot, observed_ks=fit.ks, seed=seed)
+    n_failed = ks_reps.count(None)
+    n_ge = n_failed + sum(1 for d in ks_reps if d is not None and d >= fit.ks)
+    return GofResult(p_value=n_ge / n_boot, n_boot=n_boot, observed_ks=fit.ks,
+                     seed=seed, n_failed=n_failed)
 
 
 def power_law_proportion(s: Sample, fit: TailFit) -> float:
@@ -349,6 +458,7 @@ def fit_report(fit: TailFit, n: int, gof: GofResult | None = None,
     }
     if gof is not None:
         out["p_value"] = gof.p_value
+        out["n_failed"] = gof.n_failed
     if seed is not None:
         out["seed"] = seed
     return out

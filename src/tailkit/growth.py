@@ -241,11 +241,7 @@ def ccdf_slope(d: DegreeSequence, lo: float = 10.0, hi: float = 500.0) -> float:
 
 def degrees_csv(d: DegreeSequence) -> str:
     """Single-column CSV of per-node counts."""
-    buf = io.StringIO()
-    buf.write("count\n")
-    for c in d.counts:
-        buf.write(f"{int(c)}\n")
-    return buf.getvalue()
+    return "\n".join(["count", *map(str, d.counts.tolist())]) + "\n"
 
 
 def sweep_csv(rows) -> str:

@@ -26,6 +26,7 @@ __all__ = [
     "pl_ppf",
     "pl_sample",
     "ks_distance",
+    "ks_gap",
 ]
 
 
@@ -73,16 +74,16 @@ def hurwitz_zeta(s, q):
 
     Direct summation of the first 20 terms plus an Euler-Maclaurin tail
     correction; relative error below 1e-10 on the ranges used here
-    (s in (1, ~10], q >= 1). Broadcasts over `q`.
+    (s in (1, ~10], q >= 1). Broadcasts over `s` and `q`.
     """
-    s = float(s)
-    if s <= 1.0:
-        raise DomainError(f"hurwitz_zeta needs s > 1, got {s}")
+    s = np.asarray(s, dtype=float)
+    if np.any(s <= 1.0):
+        raise DomainError(f"hurwitz_zeta needs s > 1, got {s.min()}")
     q = np.asarray(q, dtype=float)
     if np.any(q <= 0):
         raise DomainError("hurwitz_zeta needs q > 0")
     k = np.arange(_EM_N, dtype=float)
-    head = ((q[..., None] + k) ** -s).sum(axis=-1)
+    head = ((q[..., None] + k) ** -s[..., None]).sum(axis=-1)
     a = q + _EM_N  # tail starts here
     tail = a ** (1.0 - s) / (s - 1.0) + 0.5 * a**-s
     # Bernoulli corrections B2/2! = 1/12, B4/4! = -1/720, B6/6! = 1/30240
@@ -198,6 +199,20 @@ def pl_sample(model: PowerLawModel, n: int, seed: int) -> Sample:
 
 # -- Kolmogorov-Smirnov distance -------------------------------------------
 
+def ks_gap(F_hi, e_hi, e_lo, F_lo=None):
+    """Pointwise KS gap at distinct tail points; its maximum is the KS distance.
+
+    e_hi and e_lo are the empirical CDF at each point and just below it,
+    F_hi the model CDF at the point and F_lo the model CDF just below it
+    (F(v-1) on integer support). Leaving F_lo out means it equals F_hi, the
+    continuous case: since e_lo < e_hi the gap is then max(F - e_lo, e_hi - F),
+    which equals max(|F - e_hi|, |F - e_lo|) bit for bit.
+    """
+    if F_lo is None:
+        return np.maximum(F_hi - e_lo, e_hi - F_hi)
+    return np.maximum(np.abs(F_hi - e_hi), np.abs(F_lo - e_lo))
+
+
 def ks_distance(tail, model: PowerLawModel) -> float:
     """Sup |empirical CDF - model CDF| over the tail's support.
 
@@ -216,10 +231,7 @@ def ks_distance(tail, model: PowerLawModel) -> float:
     n = x.size
     cum_hi = counts.cumsum()
     F_hi = pl_cdf(model, xs)
-    if model.kind == CONTINUOUS:
-        F_lo = F_hi
-    else:
-        F_lo = 1.0 - pl_ccdf(model, xs)  # P(X <= v-1) on integer support
-    e_hi = cum_hi / n
-    e_lo = (cum_hi - counts) / n
-    return float(max(np.abs(F_hi - e_hi).max(), np.abs(F_lo - e_lo).max()))
+    # P(X <= v-1) on integer support
+    F_lo = None if model.kind == CONTINUOUS else 1.0 - pl_ccdf(model, xs)
+    gap = ks_gap(F_hi, cum_hi / n, (cum_hi - counts) / n, F_lo)
+    return float(gap.max())

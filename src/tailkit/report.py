@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .errors import RenderError
 from .fit import TailFit
@@ -104,7 +103,9 @@ def alpha_panel(fits: dict):
 
 def spearman(a, b) -> float:
     """Spearman rank correlation with average ranks on ties."""
-    rho = _scipy_stats.spearmanr(a, b).statistic
+    from scipy import stats  # imported here: scipy.stats costs about 1 s to import
+
+    rho = stats.spearmanr(a, b).statistic
     return float(rho)
 
 

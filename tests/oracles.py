@@ -2,12 +2,32 @@
 
 Everything here is written for clarity over speed and deliberately avoids
 the library's vectorized code paths: plain loops, direct formulas, no
-prefix sums. The production code must agree with these.
+prefix sums. The production code must agree with these. The one exception
+is `select_xmin_exhaustive`, the threshold scan that makes a full KS pass
+over every candidate; the pruned scan in `tailkit.fit` must return the same
+`TailFit`, bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from tailkit.errors import DegenerateTail, SampleTooSmall
+from tailkit.fit import (
+    _ALPHA_HI,
+    _ALPHA_LO,
+    _ALPHA_TOL,
+    FitOptions,
+    TailFit,
+    _candidate_indices,
+    _distinct_stats,
+    _fit_at,
+    _golden_min,
+    mle_alpha_continuous,
+    mle_alpha_discrete,
+)
+from tailkit.powerlaw import hurwitz_zeta
+from tailkit.sample import CONTINUOUS
 
 
 def ks_naive(tail, alpha, xmin, kind="continuous"):
@@ -79,6 +99,66 @@ def select_xmin_naive(values, min_tail=50, ks_allowance=0.2):
         if d <= dmin + ks_allowance / math.sqrt(m):
             return c, alpha, m, d
     raise AssertionError("unreachable")
+
+
+def select_xmin_exhaustive(s, opts=None):
+    """Threshold scan with a full KS pass over every candidate's distinct tail."""
+    opts = opts or FitOptions()
+    x = s.values
+    n = x.size
+    if n < opts.min_tail:
+        raise SampleTooSmall(f"need >= {opts.min_tail} observations, got {n}")
+
+    if opts.xmin_override is not None:
+        return _fit_at(x, float(opts.xmin_override), opts.kind)
+
+    dv, dcount, dcum, dt, wsuffix = _distinct_stats(x)
+    cand = _candidate_indices(dv, dcum, n, opts.min_tail, opts.candidate_cap)
+    if cand.size == 0:
+        raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
+
+    scanned = []  # (k0, m, ks) in ascending threshold order
+    for k0 in cand:
+        below = dcum[k0 - 1] if k0 > 0 else 0
+        m = int(n - below)
+        sum_logs = float(wsuffix[k0]) - m * float(dt[k0])
+        if sum_logs <= 0.0:
+            continue
+        if opts.kind == CONTINUOUS:
+            alpha = 1.0 + m / sum_logs
+            F = 1.0 - np.exp((1.0 - alpha) * (dt[k0:] - dt[k0]))
+        else:
+            sum_logx = float(wsuffix[k0])
+            def negll(a, _sl=sum_logx, _m=m, _xm=float(dv[k0])):
+                return a * _sl + _m * math.log(hurwitz_zeta(a, _xm))
+            alpha = _golden_min(negll, _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
+            z0 = hurwitz_zeta(alpha, float(dv[k0]))
+            F = 1.0 - hurwitz_zeta(alpha, dv[k0:] + 1.0) / z0
+        cle = dcum[k0:] - below
+        e_hi = cle / m
+        e_lo = (cle - dcount[k0:]) / m
+        if opts.kind == CONTINUOUS:
+            F_lo = F
+        else:
+            # lower step edge of an integer support sits at F(v-1) = 1 - P(X >= v)
+            F_lo = 1.0 - hurwitz_zeta(alpha, dv[k0:]) / z0
+        ks = max(float(np.abs(F - e_hi).max()), float(np.abs(F_lo - e_lo).max()))
+        scanned.append((int(k0), m, ks))
+
+    if not scanned:
+        raise DegenerateTail("every candidate tail was degenerate")
+    allowance = opts.resolved_allowance()
+    ks_min = min(ks for _, _, ks in scanned)
+    ordered = scanned if opts.kind == CONTINUOUS else reversed(scanned)
+    k0, m, ks = next(t for t in ordered
+                     if t[2] <= ks_min + allowance / math.sqrt(t[1]))
+    xmin = float(dv[k0])
+    if opts.kind == CONTINUOUS:
+        alpha, stderr, loglik = mle_alpha_continuous(x[n - m:], xmin)
+    else:
+        alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin, exact=True)
+    return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
+                   stderr=stderr, loglik=loglik, kind=opts.kind)
 
 
 def ccdf_naive(values):

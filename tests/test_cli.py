@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +196,17 @@ def test_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "tailkit.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    import tailkit
+
+    src = str(Path(tailkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tailkit.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailkit.errors import (
     DegenerateTail,
@@ -10,18 +11,21 @@ from tailkit.errors import (
     SampleTooSmall,
 )
 from tailkit.fit import (
+    _LB_MARGIN,
     FitOptions,
+    _Candidates,
     fit_report,
     mle_alpha_continuous,
     mle_alpha_discrete,
     power_law_proportion,
     select_xmin,
 )
+from tailkit.growth import GrowthConfig, simulate_ba, simulate_copy
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
 
-from oracles import select_xmin_naive
+from oracles import select_xmin_exhaustive, select_xmin_naive
 
 
 # -- continuous MLE ------------------------------------------------------------
@@ -154,6 +158,78 @@ def test_select_xmin_exhaustive_when_under_cap():
     f1 = select_xmin(s, FitOptions(candidate_cap=None))
     f2 = select_xmin(s, FitOptions(candidate_cap=100_000))
     assert f1 == f2
+
+
+# -- pruned scan against the exhaustive scan ---------------------------------------
+
+def _scan_input(gen, n, seed):
+    rng = make_rng(seed)
+    if gen == "pareto":
+        return make_sample(rng.pareto(rng.uniform(0.5, 3.0), n) + 1.0)
+    if gen == "lognormal":
+        return make_sample(rng.lognormal(0.0, 1.5, n))
+    if gen == "tied":
+        return make_sample(np.round(rng.pareto(1.3, n) + 1.0, 1))
+    return make_sample(np.floor(rng.pareto(rng.uniform(0.8, 2.5), n) + 1.0), kind="discrete")
+
+
+def _same_outcome(s, opts):
+    try:
+        expected = select_xmin_exhaustive(s, opts)
+    except (SampleTooSmall, DegenerateTail) as exc:
+        with pytest.raises(type(exc)):
+            select_xmin(s, opts)
+        return
+    assert select_xmin(s, opts) == expected
+
+
+@settings(deadline=None, max_examples=150)
+@given(gen=st.sampled_from(["pareto", "lognormal", "tied", "discrete"]),
+       n=st.integers(2, 2500),
+       seed=st.integers(0, 2**32 - 1),
+       min_tail=st.sampled_from([2, 3, 50, "n", "n-1"]),
+       cap=st.sampled_from([None, 1, 2, 37, 512]),
+       allowance=st.sampled_from([None, 0.0, 0.05, 1.0]))
+def test_pruned_scan_equals_exhaustive_scan(gen, n, seed, min_tail, cap, allowance):
+    s = _scan_input(gen, n, seed)
+    min_tail = {"n": n, "n-1": max(2, n - 1)}.get(min_tail, min_tail)
+    opts = FitOptions(kind=s.kind, min_tail=min_tail, candidate_cap=cap,
+                      ks_allowance=allowance)
+    _same_outcome(s, opts)
+
+
+def _spliced(n, seed):
+    # lognormal body below 5 under a Pareto tail (alpha 2.5) holding half the mass
+    rng = make_rng(seed)
+    body = rng.lognormal(math.log(2.0), 0.6, 4 * n)
+    body = body[body < 5.0][: n - n // 2]
+    return np.concatenate([body, 5.0 * (1.0 - rng.random(n // 2)) ** (-1 / 1.5)])
+
+
+@pytest.mark.parametrize("case", ["spliced_30k", "frechet_300k", "copy_degrees", "ba_degrees"])
+def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
+    if case == "spliced_30k":
+        s = make_sample(_spliced(30_000, 1))
+    elif case == "frechet_300k":
+        s = make_sample((-np.log(make_rng(2).random(300_000))) ** (-1 / 1.5))
+    elif case == "copy_degrees":
+        d = simulate_copy(GrowthConfig(model="copy", n_nodes=100_000, gamma=0.2, seed=4))
+        s = make_sample(d.counts, kind="discrete")
+    else:
+        d = simulate_ba(GrowthConfig(model="ba", n_nodes=30_000, m=2, seed=4))
+        s = make_sample(d.counts, kind="discrete")
+    opts = FitOptions(kind=s.kind)
+    assert select_xmin(s, opts) == select_xmin_exhaustive(s, opts)
+
+
+@pytest.mark.parametrize("gen", ["pareto", "lognormal", "tied", "discrete"])
+def test_lower_bounds_never_exceed_exact_ks(gen):
+    for seed in range(5):
+        s = _scan_input(gen, 3000, 700 + seed)
+        c = _Candidates(s.values, FitOptions(kind=s.kind, candidate_cap=None))
+        lb = c.lower_bounds()
+        exact = np.array([c.exact_ks(i) for i in range(c.k0.size)])
+        assert np.all(lb <= exact + _LB_MARGIN)
 
 
 def test_fit_recovery_within_3_stderr():

@@ -1,7 +1,8 @@
 import pytest
 
-from tailkit.errors import DomainError
-from tailkit.fit import FitOptions, gof_pvalue, select_xmin
+import tailkit.fit
+from tailkit.errors import DegenerateTail, DomainError
+from tailkit.fit import FitOptions, fit_report, gof_pvalue, select_xmin
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
@@ -18,6 +19,7 @@ def test_gof_true_model_plausible(pareto_fit):
     g = gof_pvalue(s, fit, n_boot=200, seed=3)
     assert g.p_value >= 0.1
     assert g.n_boot == 200
+    assert g.n_failed == 0
     assert g.observed_ks == fit.ks
 
 
@@ -59,3 +61,24 @@ def test_gof_all_tail_sample():
     fit = select_xmin(s, FitOptions(xmin_override=s.min))
     g = gof_pvalue(s, fit, n_boot=100, seed=2)
     assert 0.0 <= g.p_value <= 1.0
+
+
+def test_gof_reports_failed_replicates(pareto_fit, monkeypatch):
+    s, fit = pareto_fit
+    base = gof_pvalue(s, fit, n_boot=100, seed=4)
+    calls = []
+
+    def first_three_fail(sample, opts=None):
+        calls.append(1)
+        if len(calls) <= 3:
+            raise DegenerateTail("forced")
+        return select_xmin(sample, opts)
+
+    monkeypatch.setattr(tailkit.fit, "select_xmin", first_three_fail)
+    g = gof_pvalue(s, fit, n_boot=100, seed=4)
+    assert g.n_failed == 3
+    # a failed replicate counts as a KS at least the observed one
+    assert g.p_value >= 0.03
+    assert g.p_value >= base.p_value - 0.03
+    rep = fit_report(fit, n=len(s), gof=g)
+    assert rep["n_failed"] == 3 and rep["p_value"] == g.p_value

@@ -184,6 +184,12 @@ def test_degrees_csv_roundtrip():
     assert np.array_equal(np.array([int(v) for v in lines[1:]]), d.counts)
 
 
+def test_degrees_csv_matches_row_loop_format():
+    d = simulate_copy(GrowthConfig(model=COPY, n_nodes=3000, gamma=0.3, seed=8))
+    expected = "count\n" + "".join(f"{int(c)}\n" for c in d.counts)
+    assert degrees_csv(d) == expected
+
+
 def test_sweep_csv_header():
     rows = gamma_sweep([0.2], n_nodes=5000, seeds_per_gamma=1, seed=2)
     text = sweep_csv(rows)
