@@ -120,6 +120,7 @@ def cmd_fit(args) -> int:
                          opts=opts, workers=_workers())
     report = fit_report(fit, n=len(sample), gof=gof, seed=args.seed)
     report["proportion"] = power_law_proportion(sample, fit)
+    report["n_rejected"] = sample.n_rejected
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
@@ -157,6 +158,9 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     values = _read_column(args.input)
     sample = make_sample(values, kind=args.kind)
+    if sample.n_rejected:
+        print(f"rejected {sample.n_rejected} non-finite or non-positive values",
+              file=sys.stderr)
     estimates = estimator_comparison(sample, seed=args.seed)
     sys.stdout.write(comparison_csv(estimates))
     return 0

@@ -6,14 +6,22 @@ and the tail exponent of the resulting attention distribution:
 * the copy model: creators arrive one per step, each holding one unit of
   attention, and a single attention event is allocated per step, uniformly
   at random with probability gamma, else proportionally to attention
-  already granted by events (a flat urn of past events: one O(1) draw per
-  unit). The per-creator counts (arrival unit plus events received)
-  develop a power-law tail with density exponent 1 + 1/(1 - gamma).
+  already granted by events (a flat urn of past events: copying an event
+  means copying its target). The per-creator counts (arrival unit plus
+  events received) develop a power-law tail with density exponent
+  1 + 1/(1 - gamma).
 
 * the preferential-attachment graph: each new node wires m edges to
   distinct existing nodes chosen proportionally to degree (urn of edge
   endpoints, duplicate targets rejected). Its degree tail has CCDF
   exponent 2, i.e. density exponent 3, independent of m.
+
+Both are simulated without a per-event loop. A draw from an urn either
+lands on a value known in advance or on an earlier draw, so the draws form
+a forest whose roots carry the values; pointer jumping (`_roots`) resolves
+every draw in O(log depth) vectorized rounds. The random stream and the
+counts are those of the sequential process, bit for bit; preferential
+attachment redraws, one at a time, only the nodes whose targets repeat.
 
 Pure exploitation (gamma = 0) cannot bootstrap newcomers in a finite run:
 every unit would return to the seed forever. A small exploration floor
@@ -50,6 +58,14 @@ COPY = "copy"
 BA = "ba"
 
 EXPLORATION_FLOOR = 0.05
+
+# simulate_ba resolves min(_BA_BLOCK_MAX, max(_BA_BLOCK_MIN, v // _BA_BLOCK_DIV))
+# nodes per block at node v: past the minimum, a draw lands on a target of
+# its own block with probability below 1/_BA_BLOCK_DIV, which keeps the
+# pointer chains short and the work lost to a rejection small.
+_BA_BLOCK_MIN = 256
+_BA_BLOCK_MAX = 8192
+_BA_BLOCK_DIV = 8
 
 
 @dataclass(frozen=True)
@@ -120,6 +136,20 @@ def theoretical_alpha(gamma: float) -> float:
     return 1.0 + 1.0 / (1.0 - gamma)
 
 
+def _roots(ptr: np.ndarray) -> np.ndarray:
+    """Pointer jumping: follow `ptr` (each entry <= its index) to fixed points.
+
+    Halves every chain per round, so a forest of depth D needs about log2(D)
+    rounds; only two buffers are swapped.
+    """
+    nxt = np.empty_like(ptr)
+    while True:
+        np.take(ptr, ptr, out=nxt, mode="clip")  # "raise" would buffer out
+        if np.array_equal(nxt, ptr):
+            return ptr
+        ptr, nxt = nxt, ptr
+
+
 def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     """Run the copy model; deterministic for a fixed config seed.
 
@@ -128,6 +158,12 @@ def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     t+1 existing creators with probability gamma (floored, see module
     docstring), otherwise to the owner of a uniformly drawn past event.
     counts therefore sums to n_nodes (arrival units) + steps exactly.
+
+    The past event drawn at step t >= 2 is step int(u * (t - 1)) + 1, whose
+    target is either its own exploration pick or, again, a copy. Every step
+    therefore points to an earlier one or explores (steps 0 and 1 always
+    do: the urn is empty at step 1), and pointer jumping to the exploring
+    ancestor resolves all targets at once from the same draws.
     """
     if cfg.model != COPY:
         raise DomainError("config is not a copy-model config")
@@ -138,17 +174,20 @@ def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     rng = make_rng(cfg.seed)
     u_branch = rng.random(n)
     u_pick = rng.random(n)
-    counts = np.ones(n, dtype=np.int64)  # each creator's arrival unit
-    urn = np.empty(n, dtype=np.int64)
-    ulen = 0
-    for t in range(1, n):
-        if ulen == 0 or u_branch[t] < g:
-            target = int(u_pick[t] * (t + 1))
-        else:
-            target = int(urn[int(u_pick[t] * ulen)])
-        counts[target] += 1
-        urn[ulen] = target
-        ulen += 1
+    explore = u_branch < g
+    explore[:2] = True
+    # Work in place and free nothing n-sized before returning: buffers freed
+    # mid-run would be reused from the heap and stay resident afterwards.
+    steps = np.arange(n)
+    ptr = steps - 1
+    np.copyto(ptr, np.multiply(u_pick, ptr, out=u_branch), casting="unsafe")
+    ptr += 1                                # step t copies step int(u * (t - 1)) + 1
+    np.copyto(ptr, steps, where=explore)    # an exploring step is its own root
+    steps += 1
+    np.copyto(steps, np.multiply(u_pick, steps, out=u_branch), casting="unsafe")
+    # steps[r] is now where step r explores to: int(u * (r + 1))
+    counts = np.bincount(steps[_roots(ptr)[1:]], minlength=n)
+    counts += 1                             # each creator's arrival unit
     return DegreeSequence(counts=counts, config=cfg, steps=n - 1)
 
 
@@ -159,35 +198,60 @@ def simulate_ba(cfg: GrowthConfig) -> DegreeSequence:
     existing nodes drawn from the edge-endpoint urn (one entry per endpoint,
     so a draw lands on a node with probability proportional to its degree);
     duplicate targets are redrawn. Degree sum equals twice the edge count.
+
+    Node v draws from the first m(m+1) + 2m(v-m-1) urn slots, a length fixed
+    in advance; odd slots hold known source nodes and even slots the targets
+    of earlier draws. A block of nodes is resolved at once by pointer
+    jumping, assuming no rejection, from the same uniform stream the
+    one-at-a-time draws would read. The block is committed up to the first
+    node whose m targets repeat; that node is redrawn sequentially, with its
+    rejections, and the next block starts after the draws it consumed.
     """
     if cfg.model != BA:
         raise DomainError("config is not a ba-model config")
     n, m = cfg.n_nodes, cfg.m
     rng = make_rng(cfg.seed)
-    deg = np.zeros(n, dtype=np.int64)
     n_edges = m * (m + 1) // 2 + m * (n - m - 1)
-    urn = np.empty(2 * n_edges, dtype=np.int64)
-    ulen = 0
-    for i in range(m + 1):          # seed clique
-        for j in range(i + 1, m + 1):
-            urn[ulen] = i
-            urn[ulen + 1] = j
-            ulen += 2
-            deg[i] += 1
-            deg[j] += 1
-    for v in range(m + 1, n):
+    seed_len = m * (m + 1)
+    urn = np.zeros(2 * n_edges, dtype=np.int64)
+    urn[:seed_len] = [x for i in range(m + 1) for j in range(i + 1, m + 1) for x in (i, j)]
+    urn[seed_len + 1::2] = np.repeat(np.arange(m + 1, n, dtype=np.int64), m)
+    u = np.empty(0)   # uniforms drawn from the stream but not consumed yet
+    pos = 0
+    v = m + 1
+    while v < n:
+        ulen = seed_len + 2 * m * (v - m - 1)  # urn length at node v
+        b = min(n - v, _BA_BLOCK_MAX, max(_BA_BLOCK_MIN, v // _BA_BLOCK_DIV))
+        k = b * m
+        if u.size - pos < k:
+            u = np.concatenate((u[pos:], rng.random(k - (u.size - pos))))
+            pos = 0
+        lens = np.repeat(np.arange(ulen, ulen + 2 * k, 2 * m, dtype=np.int64), m)
+        slot = np.multiply(u[pos:pos + k], lens).astype(np.int64)
+        ptr = np.arange(k, dtype=np.int64)
+        open_ = (slot >= ulen) & (slot % 2 == 0)  # targets drawn in this block
+        ptr[open_] = (slot[open_] - ulen) // 2
+        draws = urn[slot][_roots(ptr)].reshape(b, m)
+        srt = np.sort(draws, axis=1)
+        dup = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        ok = int(dup.argmax()) if dup.any() else b
+        urn[ulen:ulen + 2 * ok * m:2] = draws[:ok].ravel()
+        pos += ok * m
+        v += ok
+        if ok == b:
+            continue
+        ulen += 2 * ok * m
         targets = []
-        while len(targets) < m:
-            t = int(urn[int(rng.random() * ulen)])
-            if t not in targets:    # reject duplicate endpoints
+        while len(targets) < m:     # the rejecting node, one draw at a time
+            if pos == u.size:
+                u, pos = rng.random(m), 0
+            t = int(urn[int(u[pos] * ulen)])
+            pos += 1
+            if t not in targets:
                 targets.append(t)
-        for t in targets:
-            urn[ulen] = t
-            urn[ulen + 1] = v
-            ulen += 2
-            deg[t] += 1
-            deg[v] += 1
-    return DegreeSequence(counts=deg, config=cfg, steps=n_edges)
+        urn[ulen:ulen + 2 * m:2] = targets
+        v += 1
+    return DegreeSequence(counts=np.bincount(urn, minlength=n), config=cfg, steps=n_edges)
 
 
 def measure_exponent(d: DegreeSequence, opts: FitOptions | None = None) -> TailFit:

@@ -2,17 +2,20 @@
 
 Everything here is written for clarity over speed and deliberately avoids
 the library's vectorized code paths: plain loops, direct formulas, no
-prefix sums. The production code must agree with these. The one exception
-is `select_xmin_exhaustive`, the threshold scan that makes a full KS pass
-over every candidate; the pruned scan in `tailkit.fit` must return the same
-`TailFit`, bit for bit.
+prefix sums. The production code must agree with these. The exceptions
+are the library's former code paths, which the faster ones must match bit
+for bit: `select_xmin_exhaustive`, the threshold scan that makes a full KS
+pass over every candidate (the pruned scan in `tailkit.fit` must return the
+same `TailFit`), and `simulate_copy_loop` / `simulate_ba_loop`, the
+simulators that take one step per event (the pointer-jumping ones in
+`tailkit.growth` must return the same `counts` from the same seed).
 """
 
 import math
 
 import numpy as np
 
-from tailkit.errors import DegenerateTail, SampleTooSmall
+from tailkit.errors import DegenerateTail, DomainError, SampleTooSmall
 from tailkit.fit import (
     _ALPHA_HI,
     _ALPHA_LO,
@@ -26,7 +29,9 @@ from tailkit.fit import (
     mle_alpha_continuous,
     mle_alpha_discrete,
 )
+from tailkit.growth import BA, COPY, DegreeSequence, GrowthConfig
 from tailkit.powerlaw import hurwitz_zeta
+from tailkit.rng import make_rng
 from tailkit.sample import CONTINUOUS
 
 
@@ -242,3 +247,73 @@ def discrete_ppf_naive(alpha, xmin, u):
         if cdf >= u:
             return x
         x += 1
+
+
+def simulate_copy_loop(cfg: GrowthConfig) -> DegreeSequence:
+    """Run the copy model; deterministic for a fixed config seed.
+
+    Sequential growth: at step t creator t arrives holding one unit of
+    attention, then one attention event is allocated, uniformly over the
+    t+1 existing creators with probability gamma (floored, see module
+    docstring), otherwise to the owner of a uniformly drawn past event.
+    counts therefore sums to n_nodes (arrival units) + steps exactly.
+    """
+    if cfg.model != COPY:
+        raise DomainError("config is not a copy-model config")
+    n = cfg.n_nodes
+    g = cfg.gamma if cfg.gamma >= cfg.exploration_floor else cfg.exploration_floor
+    if cfg.gamma == 1.0:
+        g = 1.0
+    rng = make_rng(cfg.seed)
+    u_branch = rng.random(n)
+    u_pick = rng.random(n)
+    counts = np.ones(n, dtype=np.int64)  # each creator's arrival unit
+    urn = np.empty(n, dtype=np.int64)
+    ulen = 0
+    for t in range(1, n):
+        if ulen == 0 or u_branch[t] < g:
+            target = int(u_pick[t] * (t + 1))
+        else:
+            target = int(urn[int(u_pick[t] * ulen)])
+        counts[target] += 1
+        urn[ulen] = target
+        ulen += 1
+    return DegreeSequence(counts=counts, config=cfg, steps=n - 1)
+
+
+def simulate_ba_loop(cfg: GrowthConfig) -> DegreeSequence:
+    """Grow a preferential-attachment graph from a complete seed graph.
+
+    Each of the n - (m+1) arriving nodes attaches m edges to distinct
+    existing nodes drawn from the edge-endpoint urn (one entry per endpoint,
+    so a draw lands on a node with probability proportional to its degree);
+    duplicate targets are redrawn. Degree sum equals twice the edge count.
+    """
+    if cfg.model != BA:
+        raise DomainError("config is not a ba-model config")
+    n, m = cfg.n_nodes, cfg.m
+    rng = make_rng(cfg.seed)
+    deg = np.zeros(n, dtype=np.int64)
+    n_edges = m * (m + 1) // 2 + m * (n - m - 1)
+    urn = np.empty(2 * n_edges, dtype=np.int64)
+    ulen = 0
+    for i in range(m + 1):          # seed clique
+        for j in range(i + 1, m + 1):
+            urn[ulen] = i
+            urn[ulen + 1] = j
+            ulen += 2
+            deg[i] += 1
+            deg[j] += 1
+    for v in range(m + 1, n):
+        targets = []
+        while len(targets) < m:
+            t = int(urn[int(rng.random() * ulen)])
+            if t not in targets:    # reject duplicate endpoints
+                targets.append(t)
+        for t in targets:
+            urn[ulen] = t
+            urn[ulen + 1] = v
+            ulen += 2
+            deg[t] += 1
+            deg[v] += 1
+    return DegreeSequence(counts=deg, config=cfg, steps=n_edges)

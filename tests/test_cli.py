@@ -101,6 +101,18 @@ def test_simulate_bad_gamma_exit_code(tmp_path, capsys):
     assert code == 2 and "gamma" in err
 
 
+def test_fit_reports_rejected_values(pareto_file, tmp_path, capsys):
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(pareto_file.read_text(encoding="utf-8") + "\n0\n-1.5\nnan\ninf\n",
+                     encoding="utf-8")
+    _, clean_out, _ = run_cli(capsys, "fit", str(pareto_file), "--seed", "7")
+    code, dirty_out, _ = run_cli(capsys, "fit", str(dirty), "--seed", "7")
+    assert code == 0
+    clean, report = json.loads(clean_out), json.loads(dirty_out)
+    assert clean["n_rejected"] == 0 and report["n_rejected"] == 4
+    assert {**report, "n_rejected": 0} == clean
+
+
 # -- compare -----------------------------------------------------------------------
 
 def test_compare_methods_agree_on_pareto(pareto_file, capsys):
@@ -124,6 +136,18 @@ def test_compare_deterministic(pareto_file, capsys):
     _, out1, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
     _, out2, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
     assert out1 == out2
+
+
+def test_compare_reports_rejected_values_on_stderr(pareto_file, tmp_path, capsys):
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(pareto_file.read_text(encoding="utf-8") + "\n0\n-2\nnan\n",
+                     encoding="utf-8")
+    _, clean_out, clean_err = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
+    code, dirty_out, dirty_err = run_cli(capsys, "compare", str(dirty), "--seed", "5")
+    assert code == 0
+    assert dirty_out == clean_out
+    assert "rejected" not in clean_err
+    assert "rejected 3 " in dirty_err
 
 
 # -- pipeline ----------------------------------------------------------------------
@@ -198,15 +222,29 @@ def test_entry_point_runs():
     assert proc.returncode == 0
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def _run_python(code, *argv):
+    """Run `code` in a fresh interpreter that imports tailkit from this tree."""
     import tailkit
 
     src = str(Path(tailkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, tailkit.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    proc = _run_python("import sys, tailkit.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_pipeline_runs_without_importing_scipy(fixture_csv, tmp_path):
+    proc = _run_python(
+        "import sys; from tailkit.cli import main; "
+        "code = main(['pipeline', sys.argv[1], '--out', sys.argv[2]]); "
+        "print(code, 'scipy' in sys.modules)",
+        fixture_csv, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "manifest.json").exists()

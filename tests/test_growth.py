@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailkit.errors import DomainError, SampleTooSmall
 from tailkit.fit import FitOptions, gof_pvalue, select_xmin
@@ -20,7 +21,10 @@ from tailkit.growth import (
     sweep_csv,
     theoretical_alpha,
 )
+from tailkit.rng import make_rng
 from tailkit.sample import DISCRETE, make_sample
+
+from oracles import simulate_ba_loop, simulate_copy_loop
 
 
 # -- theory ---------------------------------------------------------------------
@@ -138,6 +142,57 @@ def test_ba_small_run_fit_contract():
         assert fit.n_tail >= 50
     except SampleTooSmall:
         pass
+
+
+# -- equivalence with the one-step-per-event loops ----------------------------------
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.2, 0.9, 1.0])
+@pytest.mark.parametrize("floor", [0.05, 0.0])  # 0.0: deep copy chains at gamma 0
+@pytest.mark.parametrize("n", [1000, 1001, 200_000])
+def test_copy_equals_loop_oracle(gamma, floor, n):
+    for seed in (0, 17) if n < 10_000 else (3,):
+        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed,
+                           exploration_floor=floor)
+        assert np.array_equal(simulate_copy(cfg).counts, simulate_copy_loop(cfg).counts)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_ba_equals_loop_oracle(m):
+    # n = m + 2 and small n make the rejecting node the last of its block,
+    # so its redraws run past the buffered uniforms
+    for n in sorted({m + 1, m + 2, 10, 2000}):
+        for seed in range(4):
+            cfg = GrowthConfig(model=BA, n_nodes=n, m=m, seed=seed)
+            assert np.array_equal(simulate_ba(cfg).counts, simulate_ba_loop(cfg).counts)
+
+
+@settings(deadline=None, max_examples=60)
+@given(model=st.sampled_from([COPY, BA]),
+       n=st.integers(min_value=1000, max_value=6000),
+       gamma=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0]),
+       floor=st.sampled_from([0.0, 0.05]),
+       m=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_simulators_equal_loop_oracles(model, n, gamma, floor, m, seed):
+    if model == COPY:
+        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed,
+                           exploration_floor=floor)
+        fast, loop = simulate_copy(cfg), simulate_copy_loop(cfg)
+    else:
+        cfg = GrowthConfig(model=BA, n_nodes=n, m=m, seed=seed)
+        fast, loop = simulate_ba(cfg), simulate_ba_loop(cfg)
+    assert np.array_equal(fast.counts, loop.counts)
+    assert fast.steps == loop.steps
+
+
+def test_philox_scalar_draws_equal_block_draws():
+    # simulate_ba reads the stream in blocks of any size where the loop
+    # drew one value at a time
+    scalar = make_rng(42)
+    expected = [scalar.random() for _ in range(1000)]
+    block = make_rng(42)
+    got = np.concatenate([block.random(k) for k in (1, 3, 4, 7, 256, 1, 728)])
+    assert got.tolist() == expected
 
 
 # -- measurement ----------------------------------------------------------------------

@@ -132,6 +132,37 @@ def test_spearman_matches_bruteforce_with_ties():
         assert spearman(a, b) == pytest.approx(spearman_naive(a, b), abs=1e-12)
 
 
+def test_spearman_equals_scipy_bit_for_bit():
+    import warnings
+
+    from scipy import stats
+
+    rng = make_rng(56)
+    for i in range(2000):
+        n = int(rng.integers(0, 30))
+        if i % 3 == 0:
+            a, b = rng.random(n), rng.random(n)
+        elif i % 3 == 1:
+            a, b = np.round(rng.random(n) * 3, 1), rng.integers(0, 4, n)
+        else:
+            a, b = rng.normal(size=n), rng.integers(0, 2, n).astype(float)
+        if n and i % 7 == 0:
+            a[int(rng.integers(n))] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ref = float(stats.spearmanr(a, b).statistic)
+        got = spearman(a, b)
+        assert got == ref or (math.isnan(got) and math.isnan(ref)), (a, b)
+
+
+def test_spearman_undefined_inputs_are_nan():
+    assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(spearman([1.0, 2.0, 3.0], [5, 5, 5]))
+    assert math.isnan(spearman([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]))
+    assert math.isnan(spearman([1.0], [2.0]))
+    assert math.isnan(spearman([], []))
+
+
 # -- proportions and categories ------------------------------------------------------
 
 def test_proportion_figure_sorted_descending():
