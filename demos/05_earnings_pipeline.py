@@ -1,8 +1,10 @@
 """End-to-end creator-earnings analysis on the bundled synthetic fixture.
 
 Parse -> impute missing earnings -> floor filter -> single-platform
-segmentation -> summary tables, per-platform tail fits, and figure series.
-The same flow is available as `tailkit pipeline <csv> --out <dir>`.
+segmentation -> summary tables, per-platform tail fits, and figure series,
+one stage at a time. `tailkit.pipeline.run_pipeline` runs the same stages
+plus the per-year and per-category fits and writes every table, figure and
+the manifest; `tailkit pipeline <csv> --out <dir>` is its command line.
 
 Run:  python demos/05_earnings_pipeline.py
 """

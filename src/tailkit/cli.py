@@ -2,7 +2,9 @@
 
 Four subcommands cover the reproduction workflow: `fit` a single column of
 values, `simulate` a growth model, `pipeline` a full earnings CSV into
-tables and figures, and `compare` tail estimators on one sample.
+tables and figures, and `compare` tail estimators on one sample. Each
+command parses its arguments, calls the library and maps its typed errors
+to exit codes; the earnings flow itself is `tailkit.pipeline.run_pipeline`.
 
 Conventions: stdout carries data (JSON or CSV) only, diagnostics go to
 stderr. Exit codes: 0 ok, 1 I/O failure, 2 schema or configuration error,
@@ -13,11 +15,9 @@ for bootstrap replicates.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -46,27 +46,7 @@ from .growth import (
     simulate_copy,
     theoretical_alpha,
 )
-from .pipeline import (
-    fit_imputation,
-    filter_floor,
-    impute_earnings,
-    nsfw_breakdown,
-    nsfw_table_csv,
-    parse_csv,
-    platform_of,
-    segment_single_platform,
-    stats_table_csv,
-    summary_stats,
-)
-from .report import (
-    PlotSeries,
-    alpha_panel,
-    category_panel,
-    ccdf_figure,
-    median_vs_alpha,
-    proportion_figure,
-    save_figures,
-)
+from .pipeline import run_pipeline
 from .sample import CONTINUOUS, DISCRETE, make_sample
 
 DEFAULT_SEED = 20240301
@@ -100,10 +80,6 @@ def _read_column(path) -> np.ndarray:
     if not values:
         raise SchemaError(f"{path}: no numeric values found")
     return np.asarray(values)
-
-
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -167,176 +143,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    t0 = time.perf_counter()
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    parsed = parse_csv(args.input)
-    if parsed.diagnostics:
-        (outdir / "rejected_rows.log").write_text(
-            "\n".join(parsed.diagnostics) + "\n", encoding="utf-8")
-        print(f"rejected {len(parsed.diagnostics)} malformed rows", file=sys.stderr)
-    records = parsed.records
-    if not records:
-        raise SchemaError("no usable records in input")
-
-    model = fit_imputation(records)
-    records, n_unseen = impute_earnings(records, model)
-    if n_unseen:
-        print(f"{n_unseen} records imputed with reference-level category",
-              file=sys.stderr)
-    records, n_dropped = filter_floor(records, floor=args.floor,
-                                      inclusive=args.floor_inclusive)
-    print(f"floor filter dropped {n_dropped} records", file=sys.stderr)
-
-    buckets = segment_single_platform(records)
-    if not buckets:
-        print("warning: no single-platform records; nothing to fit", file=sys.stderr)
-
-    outputs = {}
-
-    def _write(rel, text):
-        path = outdir / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-        outputs[rel] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    # summary tables, as CSV and JSON
-    stats_list = [summary_stats(s, platform=p) for p, s in buckets.items()]
-    nsfw_rows = nsfw_breakdown(records)
-    _write("table1_platform_stats.csv", stats_table_csv(stats_list))
-    _write("table1_platform_stats.json", json.dumps(
-        [vars(s) for s in stats_list], indent=2, sort_keys=True) + "\n")
-    _write("table2_nsfw_breakdown.csv", nsfw_table_csv(nsfw_rows))
-    _write("table2_nsfw_breakdown.json", json.dumps(
-        [{"platform": p, "year": y, "obs": o, "mean": mn, "median": md,
-          "nsfw_share": sh} for p, y, o, mn, md, sh in nsfw_rows],
-        indent=2, sort_keys=True) + "\n")
-
-    opts = FitOptions(kind=CONTINUOUS, min_tail=args.min_tail)
-    figures = {}
-    figure_inputs = {}  # figure name -> sha256 of the fit report it draws
-    fits_pooled = {}
-    proportions = {}
-    for p, s in buckets.items():
-        if len(s) < args.min_tail:
-            print(f"skipping fit for {p}: only {len(s)} observations", file=sys.stderr)
-            continue
-        fit = select_xmin(s, opts)
-        fits_pooled[p] = fit
-        proportions[p] = power_law_proportion(s, fit)
-        gof = None
-        if args.bootstrap > 0:
-            gof = gof_pvalue(s, fit, n_boot=args.bootstrap, seed=args.seed,
-                             opts=opts, workers=_workers())
-        _write(f"fits/{p}.json",
-               json.dumps(fit_report(fit, n=len(s), gof=gof, seed=args.seed),
-                          indent=2, sort_keys=True) + "\n")
-        figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
-        figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]
-
-    # per-(platform, year) fits for the exponent panels
-    year_groups = {}
-    for r in records:
-        p = platform_of(r)
-        if p is None:
-            continue
-        year_groups.setdefault((p, r.year), []).append(r.earnings)
-    fits_by_year = {}
-    for key in sorted(year_groups):
-        vals = year_groups[key]
-        if len(vals) < args.min_tail:
-            continue
-        try:
-            fits_by_year[key] = select_xmin(make_sample(vals), opts)
-        except (SampleTooSmall, DegenerateTail):
-            continue
-    if fits_by_year:
-        pooled_rows, year_rows = alpha_panel(fits_by_year)
-        _write("alpha_by_platform.csv",
-               "platform,alpha_mean\n" +
-               "".join(f"{p},{a:.10g}\n" for p, a in pooled_rows))
-        _write("alpha_by_year.csv",
-               "platform,year,alpha\n" +
-               "".join(f"{p},{y},{a:.10g}\n" for p, y, a in year_rows))
-        figures["alpha_by_platform"] = [
-            PlotSeries(name="alpha_mean", scale="linear", style="bar",
-                       points=tuple((i + 1.0, a) for i, (_, a) in enumerate(pooled_rows)),
-                       labels=tuple(p for p, _ in pooled_rows))]
-        by_platform = {}
-        for p, y, a in year_rows:
-            by_platform.setdefault(p, []).append((float(y), a))
-        figures["alpha_time_series"] = [
-            PlotSeries(name=p, scale="linear", style="line", points=tuple(pts))
-            for p, pts in sorted(by_platform.items())]
-
-    rho = None
-    if fits_pooled:
-        rows, rho = median_vs_alpha(stats_list, fits_pooled)
-        _write("median_vs_alpha.csv",
-               "platform,median,alpha\n" +
-               "".join(f"{p},{m:.10g},{a:.10g}\n" for p, m, a in rows))
-        figures["median_vs_alpha"] = [
-            PlotSeries(name="platforms", scale="linear", style="points",
-                       points=tuple((m, a) for _, m, a in rows),
-                       labels=tuple(p for p, _, _ in rows))]
-        _write("power_law_proportion.csv",
-               "platform,proportion\n" +
-               "".join(f"{p},{v:.10g}\n" for p, v in
-                       sorted(proportions.items(), key=lambda kv: (-kv[1], kv[0]))))
-        figures["power_law_proportion"] = [proportion_figure(proportions)]
-
-    # per-category fits pooled over platforms
-    cat_groups = {}
-    for r in records:
-        if platform_of(r) is None:
-            continue
-        cat_groups.setdefault(r.category, []).append(r.earnings)
-    cat_fits, cat_obs = {}, {}
-    for c in sorted(cat_groups):
-        vals = cat_groups[c]
-        if len(vals) < args.min_tail:
-            continue
-        try:
-            cat_fits[c] = select_xmin(make_sample(vals), opts)
-            cat_obs[c] = len(vals)
-        except (SampleTooSmall, DegenerateTail):
-            continue
-    if cat_fits:
-        rows, simple, weighted = category_panel(cat_fits, cat_obs)
-        _write("alpha_by_category.csv",
-               "category,alpha,obs\n" +
-               "".join(f"{c},{a:.10g},{n}\n" for c, a, n in rows) +
-               f"simple_average,{simple:.10g},\n"
-               f"weighted_average,{weighted:.10g},\n")
-        figures["alpha_by_category"] = [
-            PlotSeries(name="alpha", scale="linear", style="bar",
-                       points=tuple((i + 1.0, a) for i, (_, a, _) in enumerate(rows)),
-                       labels=tuple(c for c, _, _ in rows))]
-
-    fig_manifest = save_figures(figures, outdir / "figures")
-    for name, digest in fig_manifest.items():
-        outputs[f"figures/{name}"] = digest
-
-    manifest = {
-        "command": "pipeline",
-        "version": __version__,
-        "options": {
-            "floor": args.floor,
-            "floor_inclusive": args.floor_inclusive,
-            "min_tail": args.min_tail,
-            "bootstrap": args.bootstrap,
-        },
-        "seed": args.seed,
-        "input": {"path": str(args.input), "sha256": _sha256_file(args.input)},
-        "outputs": dict(sorted(outputs.items())),
-        "figure_inputs": dict(sorted(figure_inputs.items())),
-        "stats": {"median_vs_alpha_spearman": rho},
-        "wall_clock_s": round(time.perf_counter() - t0, 3),
-    }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(json.dumps({"outputs": len(outputs), "out_dir": str(outdir)},
-                     sort_keys=True))
+    manifest = run_pipeline(args.input, args.out, floor=args.floor,
+                            floor_inclusive=args.floor_inclusive,
+                            min_tail=args.min_tail, bootstrap=args.bootstrap,
+                            seed=args.seed, workers=_workers())
+    print(json.dumps({"outputs": len(manifest["outputs"]),
+                      "out_dir": str(Path(args.out))}, sort_keys=True))
     return 0
 
 

@@ -66,6 +66,7 @@ EXPLORATION_FLOOR = 0.05
 _BA_BLOCK_MIN = 256
 _BA_BLOCK_MAX = 8192
 _BA_BLOCK_DIV = 8
+_CSV_BLOCK = 65536  # counts per degrees_csv block: one block's str objects live at a time
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,9 @@ def ccdf_slope(d: DegreeSequence, lo: float = 10.0, hi: float = 500.0) -> float:
 
 def degrees_csv(d: DegreeSequence) -> str:
     """Single-column CSV of per-node counts."""
-    return "\n".join(["count", *map(str, d.counts.tolist())]) + "\n"
+    c = d.counts
+    return "".join(["count\n", *("\n".join(map(str, c[i:i + _CSV_BLOCK].tolist())) + "\n"
+                                 for i in range(0, c.size, _CSV_BLOCK))])
 
 
 def sweep_csv(rows) -> str:

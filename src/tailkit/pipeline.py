@@ -5,6 +5,11 @@ linear imputation of missing earnings, an earnings floor, segmentation into
 single-platform buckets, and per-bucket summary statistics. Every stage is
 a pure function of its inputs; shuffling the input rows changes nothing.
 
+`run_pipeline` adds the tail fits per platform, per platform and year and
+per category, and writes every artifact of `tailkit pipeline`. A group too
+small to fit, or whose threshold scan fails, is skipped with its reason on
+stderr and under the manifest's `skipped` key.
+
 CSV schema (header required, UTF-8):
     creator_id,year,platforms,category,nsfw,members,paid_members,earnings
 `platforms` is a semicolon-separated subset of the known platform names;
@@ -13,12 +18,33 @@ alone. `earnings` may be empty (missing, to be imputed).
 """
 
 import csv
-import io
+import itertools
+import json
+import operator
+import sys
+import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import SampleTooSmall, SchemaError, SingularDesign
+from . import __version__
+from .errors import DegenerateTail, SampleTooSmall, SchemaError, SingularDesign
+from .fit import FitOptions, fit_report, gof_pvalue, power_law_proportion, select_xmin
+from .report import (
+    LINEAR,
+    PlotSeries,
+    alpha_panel,
+    bar_series,
+    category_panel,
+    ccdf_figure,
+    csv_table,
+    median_vs_alpha,
+    proportion_figure,
+    save_figures,
+    sha256,
+    write_artifact,
+)
 from .sample import CONTINUOUS, Sample, make_sample
 
 KNOWN_PLATFORMS = ("facebook", "instagram", "twitch", "twitter", "youtube")
@@ -26,6 +52,8 @@ HOME_PLATFORM = "patreon"  # bucket for creators with no other affiliation
 
 CSV_COLUMNS = ("creator_id", "year", "platforms", "category", "nsfw",
                "members", "paid_members", "earnings")
+STATS_COLUMNS = ("platform", "obs", "mean", "median", "sd", "min", "q25", "q75", "max")
+NSFW_COLUMNS = ("platform", "year", "obs", "mean", "median", "nsfw_share")
 
 
 @dataclass(frozen=True)
@@ -249,16 +277,28 @@ def platform_of(rec: EarningsRecord) -> str | None:
     return HOME_PLATFORM
 
 
-def segment_single_platform(records) -> dict:
-    """Earnings samples keyed by platform, multi-platform creators dropped."""
-    buckets = {}
+def group_single_platform(records, key, value) -> dict:
+    """`value(record)` of each single-platform record, grouped by
+    `key(platform, record)` in input order; multi-platform records are
+    dropped. One pass, so each record is read once."""
+    groups = {}
     for r in records:
         p = platform_of(r)
         if p is None:
             continue
-        buckets.setdefault(p, []).append(r.earnings)
-    return {p: make_sample(vals, kind=CONTINUOUS)
-            for p, vals in sorted(buckets.items())}
+        groups.setdefault(key(p, r), []).append(value(r))
+    return groups
+
+
+def group_samples(records, key) -> dict:
+    """Earnings samples of `group_single_platform` groups, in key order."""
+    groups = group_single_platform(records, key, operator.attrgetter("earnings"))
+    return {k: make_sample(v, kind=CONTINUOUS) for k, v in sorted(groups.items())}
+
+
+def segment_single_platform(records) -> dict:
+    """Earnings samples keyed by platform, multi-platform creators dropped."""
+    return group_samples(records, lambda p, r: p)
 
 
 # -- summaries ----------------------------------------------------------------------
@@ -280,15 +320,9 @@ def nsfw_breakdown(records):
     """Per (platform, year): observation count, mean and median earnings,
     and the share of records flagged nsfw. Multi-platform records are
     excluded; empty buckets do not appear."""
-    groups = {}
-    for r in records:
-        p = platform_of(r)
-        if p is None:
-            continue
-        groups.setdefault((p, r.year), []).append(r)
+    groups = group_single_platform(records, lambda p, r: (p, r.year), lambda r: r)
     rows = []
-    for (p, year) in sorted(groups):
-        recs = groups[(p, year)]
+    for (p, year), recs in sorted(groups.items()):
         earn = np.sort(np.array([r.earnings for r in recs], dtype=float))
         share = sum(1 for r in recs if r.nsfw) / len(recs)
         rows.append((p, year, len(recs), float(earn.mean()),
@@ -299,17 +333,146 @@ def nsfw_breakdown(records):
 # -- table emission -------------------------------------------------------------------
 
 def stats_table_csv(stats_list) -> str:
-    buf = io.StringIO()
-    buf.write("platform,obs,mean,median,sd,min,q25,q75,max\n")
-    for s in stats_list:
-        buf.write(f"{s.platform},{s.obs},{s.mean:.10g},{s.median:.10g},"
-                  f"{s.sd:.10g},{s.min:.10g},{s.q25:.10g},{s.q75:.10g},{s.max:.10g}\n")
-    return buf.getvalue()
+    return csv_table(STATS_COLUMNS,
+                     (tuple(getattr(s, c) for c in STATS_COLUMNS) for s in stats_list))
 
 
 def nsfw_table_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("platform,year,obs,mean,median,nsfw_share\n")
-    for p, year, obs, mean, median, share in rows:
-        buf.write(f"{p},{year},{obs},{mean:.10g},{median:.10g},{share:.10g}\n")
-    return buf.getvalue()
+    return csv_table(NSFW_COLUMNS, rows)
+
+
+# -- tail fits and the whole run --------------------------------------------------------
+
+def fit_groups(samples: dict, opts: FitOptions):
+    """Threshold-scan fit of each sample. Returns (fits, skipped): fits keyed
+    like `samples`, and the reason for each other group keyed by its label
+    (`platform/year` for tuple keys). A group is skipped, with a line on
+    stderr, when it holds fewer than `opts.min_tail` values or its scan
+    raises SampleTooSmall or DegenerateTail."""
+    fits, skipped = {}, {}
+    for key, s in samples.items():
+        try:
+            if len(s) < opts.min_tail:
+                raise SampleTooSmall(f"only {len(s)} observations")
+            fits[key] = select_xmin(s, opts)
+        except (SampleTooSmall, DegenerateTail) as exc:
+            label = "/".join(map(str, key)) if isinstance(key, tuple) else key
+            skipped[label] = str(exc)
+            print(f"skipping fit for {label}: {exc}", file=sys.stderr)
+    return fits, skipped
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
+                 seed, workers) -> dict:
+    """Earnings CSV at `input` to the tables, fit reports, figures and
+    `manifest.json` of `tailkit pipeline`, written into `outdir` byte for
+    byte reproducibly; `workers` sets the bootstrap's process count, which
+    does not change its results. Returns the manifest."""
+    t0 = time.perf_counter()
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    parsed = parse_csv(input)
+    if parsed.diagnostics:
+        write_artifact(outdir / "rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
+        print(f"rejected {len(parsed.diagnostics)} malformed rows", file=sys.stderr)
+    records = parsed.records
+    if not records:
+        raise SchemaError("no usable records in input")
+
+    records, n_unseen = impute_earnings(records, fit_imputation(records))
+    if n_unseen:
+        print(f"{n_unseen} records imputed with reference-level category",
+              file=sys.stderr)
+    records, n_dropped = filter_floor(records, floor=floor, inclusive=floor_inclusive)
+    print(f"floor filter dropped {n_dropped} records", file=sys.stderr)
+
+    buckets = segment_single_platform(records)
+    if not buckets:
+        print("warning: no single-platform records; nothing to fit", file=sys.stderr)
+
+    outputs = {}
+
+    def write(rel, text):
+        outputs[rel] = write_artifact(outdir / rel, text)
+
+    stats_list = [summary_stats(s, platform=p) for p, s in buckets.items()]
+    nsfw_rows = nsfw_breakdown(records)
+    write("table1_platform_stats.csv", stats_table_csv(stats_list))
+    write("table1_platform_stats.json", _json([vars(s) for s in stats_list]))
+    write("table2_nsfw_breakdown.csv", nsfw_table_csv(nsfw_rows))
+    write("table2_nsfw_breakdown.json",
+          _json([dict(zip(NSFW_COLUMNS, row)) for row in nsfw_rows]))
+
+    opts = FitOptions(kind=CONTINUOUS, min_tail=min_tail)
+    skipped = {}
+    figures = {}
+    figure_inputs = {}  # figure name -> sha256 of the fit report it draws
+    fits, skipped["platform"] = fit_groups(buckets, opts)
+    for p, fit in fits.items():
+        s = buckets[p]
+        gof = None
+        if bootstrap > 0:
+            gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, opts=opts,
+                             workers=workers)
+        write(f"fits/{p}.json", _json(fit_report(fit, n=len(s), gof=gof, seed=seed)))
+        figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
+        figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]
+
+    fits_by_year, skipped["platform_year"] = fit_groups(
+        group_samples(records, lambda p, r: (p, r.year)), opts)
+    if fits_by_year:
+        pooled_rows, year_rows = alpha_panel(fits_by_year)
+        write("alpha_by_platform.csv", csv_table(("platform", "alpha_mean"), pooled_rows))
+        write("alpha_by_year.csv", csv_table(("platform", "year", "alpha"), year_rows))
+        figures["alpha_by_platform"] = [bar_series("alpha_mean", pooled_rows)]
+        figures["alpha_time_series"] = [
+            PlotSeries(name=p, scale=LINEAR, style="line",
+                       points=tuple((float(y), a) for _, y, a in rows))
+            for p, rows in itertools.groupby(year_rows, key=lambda row: row[0])]
+
+    rho = None
+    if fits:
+        rows, rho = median_vs_alpha(stats_list, fits)
+        write("median_vs_alpha.csv", csv_table(("platform", "median", "alpha"), rows))
+        figures["median_vs_alpha"] = [
+            PlotSeries(name="platforms", scale=LINEAR, style="points",
+                       points=tuple((m, a) for _, m, a in rows),
+                       labels=tuple(p for p, _, _ in rows))]
+        ranked = proportion_figure(
+            {p: power_law_proportion(buckets[p], fit) for p, fit in fits.items()})
+        write("power_law_proportion.csv", csv_table(
+            ("platform", "proportion"), zip(ranked.labels, (y for _, y in ranked.points))))
+        figures["power_law_proportion"] = [ranked]
+
+    cat_samples = group_samples(records, lambda p, r: r.category)
+    cat_fits, skipped["category"] = fit_groups(cat_samples, opts)
+    if cat_fits:
+        rows, simple, weighted = category_panel(
+            cat_fits, {c: len(cat_samples[c]) for c in cat_fits})
+        write("alpha_by_category.csv", csv_table(
+            ("category", "alpha", "obs"),
+            [*rows, ("simple_average", simple, ""), ("weighted_average", weighted, "")]))
+        figures["alpha_by_category"] = [bar_series("alpha", [(c, a) for c, a, _ in rows])]
+
+    for name, digest in save_figures(figures, outdir / "figures").items():
+        outputs[f"figures/{name}"] = digest
+
+    manifest = {
+        "command": "pipeline",
+        "version": __version__,
+        "options": {"floor": floor, "floor_inclusive": floor_inclusive,
+                    "min_tail": min_tail, "bootstrap": bootstrap},
+        "seed": seed,
+        "input": {"path": str(input), "sha256": sha256(Path(input).read_bytes())},
+        "outputs": dict(sorted(outputs.items())),
+        "figure_inputs": dict(sorted(figure_inputs.items())),
+        "skipped": skipped,
+        "stats": {"median_vs_alpha_spearman": rho},
+        "wall_clock_s": round(time.perf_counter() - t0, 3),
+    }
+    (outdir / "manifest.json").write_text(_json(manifest), encoding="utf-8")
+    return manifest

@@ -10,6 +10,7 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .sample import Sample, empirical_ccdf
 
 __all__ = [
     "PlotSeries",
+    "bar_series",
     "ccdf_figure",
     "alpha_panel",
     "median_vs_alpha",
@@ -26,8 +28,11 @@ __all__ = [
     "proportion_figure",
     "category_panel",
     "render_svg",
+    "csv_table",
     "series_csv",
     "save_figures",
+    "sha256",
+    "write_artifact",
 ]
 
 LOGLOG = "loglog"
@@ -60,6 +65,14 @@ class PlotSeries:
 
 
 # -- figure builders -----------------------------------------------------------
+
+def bar_series(name: str, items) -> PlotSeries:
+    """Linear bar series of (label, value) items, one bar per item at
+    x = 1, 2, ... in the given order."""
+    return PlotSeries(name=name, scale=LINEAR, style="bar",
+                      points=tuple((i + 1.0, v) for i, (_, v) in enumerate(items)),
+                      labels=tuple(k for k, _ in items))
+
 
 def ccdf_figure(sample: Sample, fit: TailFit):
     """Empirical CCDF, fitted tail line and threshold marker.
@@ -126,8 +139,7 @@ def median_vs_alpha(stats_list, fits: dict):
     platforms the correlation is omitted (None).
     """
     medians = {s.platform: s.median for s in stats_list}
-    rows = [(p, medians[p], fits[p].alpha if isinstance(fits[p], TailFit) else float(fits[p]))
-            for p in sorted(medians) if p in fits]
+    rows = [(p, medians[p], fits[p].alpha) for p in sorted(medians) if p in fits]
     rho = None
     if len(rows) >= 3:
         rho = spearman([r[1] for r in rows], [r[2] for r in rows])
@@ -136,17 +148,13 @@ def median_vs_alpha(stats_list, fits: dict):
 
 def proportion_figure(proportions: dict) -> PlotSeries:
     """Bar series of power-law tail shares, sorted descending."""
-    items = sorted(proportions.items(), key=lambda kv: (-kv[1], kv[0]))
-    pts = tuple((float(i + 1), float(v)) for i, (_, v) in enumerate(items))
-    return PlotSeries(name="power_law_proportion", points=pts, scale=LINEAR,
-                      style="bar", labels=tuple(k for k, _ in items))
+    return bar_series("power_law_proportion",
+                      sorted(proportions.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def category_panel(fits: dict, obs_counts: dict):
     """Per-category exponents plus simple and observation-weighted means."""
-    rows = [(c, fits[c].alpha if isinstance(fits[c], TailFit) else float(fits[c]),
-             int(obs_counts[c]))
-            for c in sorted(fits)]
+    rows = [(c, fits[c].alpha, int(obs_counts[c])) for c in sorted(fits)]
     alphas = [a for _, a, _ in rows]
     weights = [n for _, _, n in rows]
     simple = sum(alphas) / len(alphas)
@@ -155,6 +163,14 @@ def category_panel(fits: dict, obs_counts: dict):
 
 
 # -- emission --------------------------------------------------------------------
+
+def csv_table(columns, rows) -> str:
+    """CSV text: a header of `columns`, then one line per row, with floats
+    written as `.10g` and every other value as `str`."""
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows)
+
 
 def series_csv(series: PlotSeries) -> str:
     buf = io.StringIO()
@@ -312,23 +328,27 @@ def save_figures(figures: dict, outdir, width=640, height=480) -> dict:
     Returns a manifest dict listing every artifact with the SHA-256 of its
     bytes, keyed by relative path.
     """
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {}
     for name, series_list in sorted(figures.items()):
         svg = render_svg(series_list, width=width, height=height, title=name)
-        svg_path = outdir / f"{name}.svg"
-        svg_path.write_text(svg, encoding="utf-8")
-        manifest[svg_path.name] = _sha256(svg)
+        manifest[f"{name}.svg"] = write_artifact(outdir / f"{name}.svg", svg)
         for s in series_list:
-            csv_text = series_csv(s)
-            csv_path = outdir / f"{name}_{s.name}.csv"
-            csv_path.write_text(csv_text, encoding="utf-8")
-            manifest[csv_path.name] = _sha256(csv_text)
+            rel = f"{name}_{s.name}.csv"
+            manifest[rel] = write_artifact(outdir / rel, series_csv(s))
     return manifest
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def write_artifact(path: Path, text: str) -> str:
+    """Write `text` to `path` as UTF-8, creating missing directories, and
+    return the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return sha256(data)
+
+
+def sha256(data: bytes) -> str:
+    """Hex SHA-256 digest of `data`, as listed in the pipeline manifest."""
+    return hashlib.sha256(data).hexdigest()

@@ -9,6 +9,7 @@ import pytest
 
 from tailkit.cli import main
 from tailkit.fixtures import write_fixture
+from tailkit.pipeline import run_pipeline
 from tailkit.powerlaw import PowerLawModel, pl_sample
 
 
@@ -187,6 +188,37 @@ def test_pipeline_rerun_byte_identical(fixture_csv, tmp_path, capsys):
     assert m1["outputs"] == m2["outputs"]  # same hashes for every artifact
 
 
+def test_run_pipeline_returns_the_written_manifest(fixture_csv, tmp_path, capsys):
+    run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(tmp_path / "cli"),
+            "--seed", "3")
+    written = json.loads((tmp_path / "cli" / "manifest.json").read_text())
+    manifest = run_pipeline(fixture_csv, tmp_path / "lib", floor=10.0,
+                            floor_inclusive=False, min_tail=50, bootstrap=0,
+                            seed=3, workers=1)
+    assert manifest["outputs"] == written["outputs"]
+    assert manifest["figure_inputs"] == written["figure_inputs"]
+    assert json.loads((tmp_path / "lib" / "manifest.json").read_text()) == manifest
+
+
+def test_pipeline_skips_degenerate_platform(tmp_path, capsys):
+    path = tmp_path / "tied.csv"
+    header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
+    earnings = pl_sample(PowerLawModel(alpha=2.2, xmin=20.0), 400, seed=5).values
+    rows = [f"p{i},2021,,art,false,{100 + i},{i % 50},{e:.6f}"
+            for i, e in enumerate(earnings)]
+    rows += [f"t{i},2021,twitch,games,false,{100 + i},{i % 50},25.0" for i in range(80)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(path), "--out", str(out))
+    assert code == 0, err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["skipped"]["platform"]) == {"twitch"}
+    assert set(manifest["skipped"]["platform_year"]) == {"twitch/2021"}
+    assert "fits/patreon.json" in manifest["outputs"]
+    assert "fits/twitch.json" not in manifest["outputs"]
+    assert f"skipping fit for twitch: {manifest['skipped']['platform']['twitch']}" in err
+
+
 def test_pipeline_all_multiplatform_warns_not_fails(tmp_path, capsys):
     path = tmp_path / "multi.csv"
     header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
@@ -222,29 +254,38 @@ def test_entry_point_runs():
     assert proc.returncode == 0
 
 
-def _run_python(code, *argv):
-    """Run `code` in a fresh interpreter that imports tailkit from this tree."""
+def _run_python(*args, cwd=None):
+    """Run the interpreter with `args` in a fresh process that imports
+    tailkit from this tree."""
     import tailkit
 
     src = str(Path(tailkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *map(str, args)],
+                          capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    proc = _run_python("import sys, tailkit.cli; print('scipy.stats' in sys.modules)")
+    proc = _run_python("-c", "import sys, tailkit.cli; print('scipy.stats' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_pipeline_runs_without_importing_scipy(fixture_csv, tmp_path):
     proc = _run_python(
-        "import sys; from tailkit.cli import main; "
+        "-c", "import sys; from tailkit.cli import main; "
         "code = main(['pipeline', sys.argv[1], '--out', sys.argv[2]]); "
         "print(code, 'scipy' in sys.modules)",
         fixture_csv, tmp_path / "out")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_earnings_demo_runs(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_earnings_pipeline.py"
+    proc = _run_python(demo, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "Spearman rho" in proc.stdout
+    assert (tmp_path / "ccdf_demo.svg").exists()
