@@ -10,9 +10,10 @@ goodness-of-fit p-value.
 
 The scan sorts once and keeps prefix sums of log-values, so the continuous
 alphas of all candidates are one vectorized closed form (the discrete kind
-runs a golden-section MLE per candidate). A candidate's KS distance is the
-maximum of the pointwise gap `powerlaw.ks_gap` over its distinct tail, and
-that full pass is made only for candidates that can still matter:
+runs one golden-section MLE on all candidates in lockstep). A candidate's
+KS distance is the maximum of the pointwise gap `powerlaw.ks_gap` over its
+distinct tail, and that full pass is made only for candidates that can
+still matter:
 
 1. Lower bound: the gap maximized over every 64th distinct point of a tail
    (starting at its threshold) cannot exceed the maximum over all of them.
@@ -53,6 +54,7 @@ __all__ = [
     "mle_alpha_continuous",
     "mle_alpha_discrete",
     "select_xmin",
+    "check_n_boot",
     "gof_pvalue",
     "power_law_proportion",
     "fit_report",
@@ -156,38 +158,46 @@ def mle_alpha_continuous(tail, xmin: float):
     return alpha, stderr, loglik
 
 
-def _golden_min(f, lo, hi, tol):
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
 _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL = 1.01, 6.0, 1e-6
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _zeta_negll(sum_logx, n, xmin):
-    """Negative discrete log-likelihood in alpha, from n and sum(log x)."""
-    return lambda a: a * sum_logx + n * math.log(hurwitz_zeta(a, xmin))
+def _mle_discrete(sum_logx, n, xmin) -> np.ndarray:
+    """Per element, the alpha in [1.01, 6] minimizing alpha*sum_logx +
+    n*log zeta(alpha, xmin): one golden-section search run on all elements
+    in lockstep, with one hurwitz_zeta call per step over the elements whose
+    bracket is still open. The arithmetic is elementwise, so an element's
+    result does not depend on the batch it is in."""
+    sum_logx, n, xmin = np.atleast_1d(sum_logx, n, xmin)
+
+    def negll(a, i):
+        return a * sum_logx[i] + n[i] * np.log(hurwitz_zeta(a, xmin[i]))
+
+    lo, hi = np.full(sum_logx.shape, _ALPHA_LO), np.full(sum_logx.shape, _ALPHA_HI)
+    c, d = hi - _INVPHI * (hi - lo), lo + _INVPHI * (hi - lo)
+    i = np.arange(lo.size)  # every bracket starts wider than the tolerance
+    fc, fd = np.split(negll(np.concatenate((c, d)), np.concatenate((i, i))), 2)
+    while i.size:
+        left = fc[i] < fd[i]
+        il, ir = i[left], i[~left]
+        hi[il], d[il], fd[il] = d[il], c[il], fc[il]
+        lo[ir], c[ir], fc[ir] = c[ir], d[ir], fd[ir]
+        c[il] = hi[il] - _INVPHI * (hi[il] - lo[il])
+        d[ir] = lo[ir] + _INVPHI * (hi[ir] - lo[ir])
+        f = negll(np.where(left, c[i], d[i]), i)
+        fc[il], fd[ir] = f[left], f[~left]
+        i = i[hi[i] - lo[i] > _ALPHA_TOL]
+    return 0.5 * (lo + hi)
 
 
 def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
     """Discrete MLE above integer xmin.
 
     Exact mode maximizes sum(-alpha*log x) - n*log zeta(alpha, xmin) by
-    golden-section search on alpha in [1.01, 6]; approximate mode uses the
-    continuous closed form with the half-shift xmin - 0.5 (good for
-    xmin >= 6). Returns (alpha, stderr, loglik).
+    golden-section search on alpha in [1.01, 6] and raises DegenerateTail
+    when the optimum lies within the search tolerance of either end;
+    approximate mode uses the continuous closed form with the half-shift
+    xmin - 0.5 (good for xmin >= 6). Returns (alpha, stderr, loglik).
     """
     x = _tail_array(tail)
     if np.any(x != np.round(x)):
@@ -201,14 +211,15 @@ def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
     n = x.size
     sum_logx = float(np.log(x).sum())
     if exact:
-        negll = _zeta_negll(sum_logx, n, xmin)
-        alpha = _golden_min(negll, _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
-        loglik = -negll(alpha)
+        alpha = float(_mle_discrete(sum_logx, n, xmin)[0])
+        if not _ALPHA_LO + _ALPHA_TOL < alpha < _ALPHA_HI - _ALPHA_TOL:
+            raise DegenerateTail(f"discrete MLE alpha = {alpha:.8g} is at the edge "
+                                 f"of its search range [{_ALPHA_LO}, {_ALPHA_HI}]")
     else:
         shift = xmin - 0.5
         sum_logs = sum_logx - n * math.log(shift)
         alpha = 1.0 + n / sum_logs
-        loglik = -(alpha * sum_logx + n * math.log(hurwitz_zeta(alpha, xmin)))
+    loglik = -(alpha * sum_logx + n * math.log(hurwitz_zeta(alpha, xmin)))
     stderr = (alpha - 1.0) / math.sqrt(n)
     return alpha, stderr, loglik
 
@@ -267,12 +278,8 @@ class _Candidates:
             self.alpha = 1.0 + self.m / sum_logs[keep]
             self.z0 = None
         else:
-            self.alpha = np.array([
-                _golden_min(_zeta_negll(float(wsuffix[k]), int(mk), float(self.dv[k])),
-                            _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
-                for k, mk in zip(self.k0, self.m)])
-            self.z0 = np.array([hurwitz_zeta(a, float(self.dv[k]))
-                                for a, k in zip(self.alpha, self.k0)])
+            self.alpha = _mle_discrete(wsuffix[self.k0], self.m, self.dv[self.k0])
+            self.z0 = hurwitz_zeta(self.alpha, self.dv[self.k0])
 
     def gaps(self, pts, i):
         """KS gaps of candidate(s) i at distinct indices pts.
@@ -409,6 +416,12 @@ def _one_replicate(args):
         return None  # pathological replicate counts against the null
 
 
+def check_n_boot(n_boot: int) -> None:
+    """Raise DomainError unless `n_boot` is a valid bootstrap replicate count."""
+    if n_boot < 100:
+        raise DomainError(f"n_boot must be >= 100, got {n_boot}")
+
+
 def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
                opts: FitOptions | None = None, workers: int = 1) -> GofResult:
     """Semiparametric bootstrap p-value for the fitted tail.
@@ -420,8 +433,7 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
     whose refit raises counts as >= and is reported in `n_failed`. Replicate
     streams derive from (seed, index), so results do not depend on `workers`.
     """
-    if n_boot < 100:
-        raise DomainError(f"n_boot must be >= 100, got {n_boot}")
+    check_n_boot(n_boot)
     opts = opts or FitOptions(kind=fit.kind)
     p_tail = fit.n_tail / len(s)
     args = [(s.values, fit.kind, fit.xmin, fit.alpha, p_tail, opts, seed, i)

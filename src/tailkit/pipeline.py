@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateTail, SampleTooSmall, SchemaError, SingularDesign
-from .fit import FitOptions, fit_report, gof_pvalue, power_law_proportion, select_xmin
+from .fit import (FitOptions, check_n_boot, fit_report, gof_pvalue,
+                  power_law_proportion, select_xmin)
 from .report import (
     LINEAR,
     PlotSeries,
@@ -373,11 +374,18 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     byte reproducibly; `workers` sets the bootstrap's process count, which
     does not change its results. Returns the manifest."""
     t0 = time.perf_counter()
+    if bootstrap > 0:
+        check_n_boot(bootstrap)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+
+    def write(rel, text):
+        outputs[rel] = write_artifact(outdir / rel, text)
+
     parsed = parse_csv(input)
     if parsed.diagnostics:
-        write_artifact(outdir / "rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
+        write("rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
         print(f"rejected {len(parsed.diagnostics)} malformed rows", file=sys.stderr)
     records = parsed.records
     if not records:
@@ -393,11 +401,6 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     buckets = segment_single_platform(records)
     if not buckets:
         print("warning: no single-platform records; nothing to fit", file=sys.stderr)
-
-    outputs = {}
-
-    def write(rel, text):
-        outputs[rel] = write_artifact(outdir / rel, text)
 
     stats_list = [summary_stats(s, platform=p) for p, s in buckets.items()]
     nsfw_rows = nsfw_breakdown(records)

@@ -6,7 +6,9 @@ prefix sums. The production code must agree with these. The exceptions
 are the library's former code paths, which the faster ones must match bit
 for bit: `select_xmin_exhaustive`, the threshold scan that makes a full KS
 pass over every candidate (the pruned scan in `tailkit.fit` must return the
-same `TailFit`), and `simulate_copy_loop` / `simulate_ba_loop`, the
+same `TailFit`; it fits each discrete candidate with the library's
+`_mle_discrete` on a one-element batch, as a candidate's result does not
+depend on its batch), and `simulate_copy_loop` / `simulate_ba_loop`, the
 simulators that take one step per event (the pointer-jumping ones in
 `tailkit.growth` must return the same `counts` from the same seed).
 """
@@ -17,15 +19,12 @@ import numpy as np
 
 from tailkit.errors import DegenerateTail, DomainError, SampleTooSmall
 from tailkit.fit import (
-    _ALPHA_HI,
-    _ALPHA_LO,
-    _ALPHA_TOL,
     FitOptions,
     TailFit,
     _candidate_indices,
     _distinct_stats,
     _fit_at,
-    _golden_min,
+    _mle_discrete,
     mle_alpha_continuous,
     mle_alpha_discrete,
 )
@@ -133,11 +132,11 @@ def select_xmin_exhaustive(s, opts=None):
             alpha = 1.0 + m / sum_logs
             F = 1.0 - np.exp((1.0 - alpha) * (dt[k0:] - dt[k0]))
         else:
-            sum_logx = float(wsuffix[k0])
-            def negll(a, _sl=sum_logx, _m=m, _xm=float(dv[k0])):
-                return a * _sl + _m * math.log(hurwitz_zeta(a, _xm))
-            alpha = _golden_min(negll, _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL)
-            z0 = hurwitz_zeta(alpha, float(dv[k0]))
+            # one-element batches: the MLE and zeta(alpha, xmin) of a
+            # candidate do not depend on the batch it is fitted in
+            alpha = _mle_discrete(wsuffix[k0:k0 + 1], m, dv[k0:k0 + 1])
+            z0 = float(hurwitz_zeta(alpha, dv[k0:k0 + 1])[0])
+            alpha = float(alpha[0])
             F = 1.0 - hurwitz_zeta(alpha, dv[k0:] + 1.0) / z0
         cle = dcum[k0:] - below
         e_hi = cle / m

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,17 @@ def test_fit_garbage_file_schema_error(tmp_path, capsys):
     bad.write_text("header\n1.0\nwat\n2.0\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "fit", str(bad))
     assert code == 2 and "line 3" in err
+
+
+def test_fit_discrete_at_search_edge_exit_code(tmp_path, capsys):
+    # a Zipf(9) sample's MLE lies beyond the discrete search range [1.01, 6]
+    path = tmp_path / "zipf9.csv"
+    path.write_text("\n".join(map(str, np.random.default_rng(0).zipf(9, 5000))),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", str(path), "--kind", "discrete")
+    assert code == 4
+    assert out == ""
+    assert "edge of its search range" in err
 
 
 # -- simulate ----------------------------------------------------------------------
@@ -198,6 +210,32 @@ def test_run_pipeline_returns_the_written_manifest(fixture_csv, tmp_path, capsys
     assert manifest["outputs"] == written["outputs"]
     assert manifest["figure_inputs"] == written["figure_inputs"]
     assert json.loads((tmp_path / "lib" / "manifest.json").read_text()) == manifest
+
+
+def test_pipeline_rejects_small_bootstrap_before_writing(fixture_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("x", encoding="utf-8")
+    code, _, err = run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(out),
+                           "--bootstrap", "20")
+    assert code == 2
+    assert "n_boot must be >= 100, got 20" in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+def test_pipeline_manifest_lists_rejected_rows_log(fixture_csv, tmp_path, capsys):
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text(fixture_csv.read_text(encoding="utf-8")
+                     + "bad1,20x1,,art,false,1,1,5.0\nbad2,2021,,art,maybe,1,1,5.0\n",
+                     encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(dirty), "--out", str(out))
+    assert code == 0
+    assert "rejected 2 malformed rows" in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    log = (out / "rejected_rows.log").read_bytes()
+    assert len(log.splitlines()) == 2
+    assert manifest["outputs"]["rejected_rows.log"] == hashlib.sha256(log).hexdigest()
 
 
 def test_pipeline_skips_degenerate_platform(tmp_path, capsys):

@@ -14,6 +14,9 @@ from tailkit.fit import (
     _LB_MARGIN,
     FitOptions,
     _Candidates,
+    _candidate_indices,
+    _distinct_stats,
+    _mle_discrete,
     fit_report,
     mle_alpha_continuous,
     mle_alpha_discrete,
@@ -21,7 +24,7 @@ from tailkit.fit import (
     select_xmin,
 )
 from tailkit.growth import GrowthConfig, simulate_ba, simulate_copy
-from tailkit.powerlaw import PowerLawModel, pl_sample
+from tailkit.powerlaw import PowerLawModel, hurwitz_zeta, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
 
@@ -87,6 +90,51 @@ def test_mle_discrete_degenerate():
 def test_mle_discrete_rejects_non_integers():
     with pytest.raises(KindMismatch):
         mle_alpha_discrete([2.5, 3.0, 4.0], xmin=2)
+
+
+def test_mle_discrete_at_search_edge_raises():
+    # the MLE of a Zipf(9) sample lies above the search range [1.01, 6]
+    x = np.random.default_rng(0).zipf(9, 5000)
+    with pytest.raises(DegenerateTail, match="edge of its search range"):
+        mle_alpha_discrete(x, xmin=1)
+    with pytest.raises(DegenerateTail):
+        select_xmin(make_sample(x, kind="discrete"), FitOptions(kind="discrete"))
+
+
+@settings(deadline=None, max_examples=25)
+@given(n=st.integers(200, 20_000), seed=st.integers(0, 2**32 - 1),
+       min_tail=st.sampled_from([2, 10, 50]))
+def test_mle_discrete_batch_equals_one_element_calls(n, seed, min_tail):
+    # candidate tails of a discrete sample, fitted together and one at a time
+    x = _scan_input("discrete", n, seed).values
+    dv, _, dcum, _, wsuffix = _distinct_stats(x)
+    cand = _candidate_indices(dv, dcum, n, min_tail, 40)
+    if cand.size == 0:
+        return
+    m = n - np.concatenate(([0], dcum[:-1]))[cand]
+    batch = _mle_discrete(wsuffix[cand], m, dv[cand])
+    single = np.concatenate([_mle_discrete(wsuffix[k:k + 1], mk, dv[k:k + 1])
+                             for k, mk in zip(cand, m)])
+    assert batch.tobytes() == single.tobytes()
+    z0 = np.concatenate([hurwitz_zeta(single[i:i + 1], dv[k:k + 1])
+                         for i, k in enumerate(cand)])
+    assert hurwitz_zeta(batch, dv[cand]).tobytes() == z0.tobytes()
+
+
+def test_discrete_candidates_share_one_search(monkeypatch):
+    # 383 candidates: one batched golden-section search, not one per candidate
+    d = simulate_copy(GrowthConfig(model="copy", n_nodes=1_000_000, gamma=0.2, seed=4))
+    calls = []
+
+    def counting(s, q):
+        calls.append(1)
+        return hurwitz_zeta(s, q)
+
+    monkeypatch.setattr("tailkit.fit.hurwitz_zeta", counting)
+    c = _Candidates(make_sample(d.counts, kind="discrete").values,
+                    FitOptions(kind="discrete"))
+    assert c.k0.size > 300
+    assert len(calls) < 100
 
 
 # -- threshold selection ----------------------------------------------------------
