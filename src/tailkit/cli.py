@@ -15,6 +15,7 @@ for bootstrap replicates.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -63,23 +64,45 @@ def _workers() -> int:
     return 1
 
 
+_READ_BLOCK = 1 << 16  # lines converted per np.array call
+
+
 def _read_column(path) -> np.ndarray:
-    """One number per line; a single leading header line is tolerated."""
-    values = []
+    """One number per line; a single leading header line is tolerated.
+
+    The first comma-separated field of each line is converted a block of
+    lines at a time by `np.array`, which parses each string as `float`
+    does; only a block that fails is searched for its first bad line. A
+    block's strings are freed before the next is read, so the whole text
+    is never held at once.
+    """
+    blocks = []
     with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            text = line.strip().split(",")[0]
-            if not text:
-                continue
+        for start in itertools.count(0, _READ_BLOCK):
+            fields = [line.strip().split(",")[0]
+                      for line in itertools.islice(fh, _READ_BLOCK)]
+            if not fields:
+                break
+            if start == 0 and not _is_number(fields[0]):
+                fields[0] = ""  # header
             try:
-                values.append(float(text))
+                blocks.append(np.array([text for text in fields if text], dtype=float))
             except ValueError:
-                if i == 0:
-                    continue  # header
-                raise SchemaError(f"{path}: line {i + 1} is not a number: {text!r}")
-    if not values:
+                i, text = next((i, text) for i, text in enumerate(fields)
+                               if text and not _is_number(text))
+                raise SchemaError(f"{path}: line {start + i + 1} is not a number: {text!r}")
+    values = np.concatenate(blocks) if blocks else np.empty(0)
+    if not values.size:
         raise SchemaError(f"{path}: no numeric values found")
-    return np.asarray(values)
+    return values
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -138,6 +161,11 @@ def cmd_compare(args) -> int:
         print(f"rejected {sample.n_rejected} non-finite or non-positive values",
               file=sys.stderr)
     estimates = estimator_comparison(sample, seed=args.seed)
+    cns, k = estimates[0], estimates[1].k_used
+    if k > cns.k_used:
+        print(f"double-bootstrap k = {k} exceeds the {cns.k_used} values at or above "
+              f"the fitted xmin {cns.threshold:.10g}: the hill-type rows take in the body",
+              file=sys.stderr)
     sys.stdout.write(comparison_csv(estimates))
     return 0
 

@@ -124,18 +124,43 @@ _DBS_REPLICATES = 200
 _DBS_K_FRACTION = 0.9  # ignore k above this fraction of the resample size
 
 
-def _amse_curve(x: np.ndarray, nb: int, rng, replicates: int) -> np.ndarray:
-    """Mean over bootstrap resamples of (M2 - 2*M1^2)^2 for every k < nb."""
-    acc = np.zeros(nb - 1)
+def _amse_curve(logx: np.ndarray, nb: int, hi: int, rng, replicates: int) -> np.ndarray:
+    """Mean over bootstrap resamples of (M2 - 2*M1^2)^2 for k = 1..hi.
+
+    `logx` is log(x) of the ascending sample. A resample of size nb is a
+    sorted index draw; its top hi + 1 logs, gathered in descending order,
+    are all that the curve up to k = hi reads. The arithmetic runs in place
+    in four buffers, in the same operation order as the per-replicate
+    formula, so every entry has the same bits as a fresh evaluation.
+    """
+    n = logx.size
+    # the bounded draw gives the same integers as int64, and int32 sorts faster
+    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    k = np.arange(1, hi + 1, dtype=float)
+    acc = np.zeros(hi)
+    c1, c2, m1, t = (np.empty(hi) for _ in range(4))
     for _ in range(replicates):
-        sub = np.sort(rng.choice(x, size=nb, replace=True))[::-1]  # descending
-        logs = np.log(sub)
-        k = np.arange(1, nb)
-        c1 = np.cumsum(logs[:-1])
-        c2 = np.cumsum(logs[:-1] ** 2)
-        m1 = c1 / k - logs[1:]
-        m2 = c2 / k - 2.0 * logs[1:] / k * c1 + logs[1:] ** 2
-        acc += (m2 - 2.0 * m1**2) ** 2
+        idx = rng.integers(0, n, nb, dtype=dtype)  # the draw of rng.choice(x, nb)
+        idx.sort()
+        logs = logx[idx[::-1][:hi + 1]]  # descending
+        head, tail = logs[:-1], logs[1:]
+        np.cumsum(head, out=c1)
+        np.square(head, out=c2)
+        np.cumsum(c2, out=c2)
+        np.divide(c1, k, out=m1)
+        m1 -= tail                       # M1 = c1/k - log x_(k+1)
+        np.multiply(2.0, tail, out=t)
+        t /= k
+        t *= c1
+        c2 /= k
+        c2 -= t
+        np.square(tail, out=t)
+        c2 += t                          # M2 = c2/k - 2 log x_(k+1) c1/k + log^2 x_(k+1)
+        np.square(m1, out=m1)
+        m1 *= 2.0
+        c2 -= m1
+        np.square(c2, out=c2)
+        acc += c2
     return acc / replicates
 
 
@@ -143,22 +168,31 @@ def double_bootstrap_k(s: Sample, seed: int) -> int:
     """Data-driven order-statistics count k* for the Hill-type estimators.
 
     Two bootstrap sample sizes n1 = floor(n^0.95) and n2 = floor(n1^2/n);
-    for each, k minimizing the bootstrap mean of (M2 - 2*M1^2)^2; the final
-    k* = (k1^2/k2) * correction, clamped to [2, n-1]. Deterministic for a
-    fixed seed.
+    for each, k minimizing the bootstrap mean of (M2 - 2*M1^2)^2 over
+    2 <= k <= 0.9 * nb; the final k* = (k1^2/k2) * correction, clamped to
+    [2, n-1]. Deterministic for a fixed seed.
+
+    The log of the sample is taken once per call, and each resample gathers
+    from it; as log is monotone, gathering at sorted indices gives the logs
+    of the sorted resample. The log is taken on a reversed (negative-stride)
+    view, as it was when each resample took its own log: numpy evaluates a
+    strided log and a contiguous one with different kernels, which differ
+    in the last bit on a few values in a thousand, and the strided one
+    keeps the AMSE curve, and so k*, bit for bit what they were.
     """
     x = s.values
     n = x.size
     if n < 500:
         raise SampleTooSmall(f"double bootstrap needs n >= 500, got {n}")
     rng = make_rng(seed)
+    logx = np.log(x[::-1])[::-1]
     n1 = int(n**0.95)
     n2 = int(n1 * n1 / n)
     ks = []
     for nb in (n1, n2):
-        amse = _amse_curve(x, nb, rng, _DBS_REPLICATES)
         hi = max(2, int(_DBS_K_FRACTION * nb))
-        k_star = int(np.nanargmin(amse[1:hi])) + 2  # k index offset: amse[0] is k=1
+        amse = _amse_curve(logx, nb, hi, rng, _DBS_REPLICATES)
+        k_star = int(np.nanargmin(amse[1:])) + 2  # k index offset: amse[0] is k=1
         ks.append(k_star)
     k1, k2 = ks
     # finite-sample correction from the two minimizers (ratio form)
@@ -182,12 +216,22 @@ def estimator_comparison(s: Sample, seed: int) -> list[TailIndexEstimate]:
 
 
 def comparison_csv(estimates: list[TailIndexEstimate]) -> str:
-    """Comparison table: method, alpha, gamma, threshold (k or xmin), stderr."""
+    """Comparison table: method, alpha, gamma, threshold (k or xmin), stderr,
+    and k_exceeds_tail.
+
+    k_exceeds_tail is empty on the cns row; on an order-statistics row it is
+    true when that row's k exceeds the cns row's tail size n_tail, that is,
+    when the estimate takes in values below the fitted xmin. On an
+    exactly-Pareto tail the double-bootstrap AMSE curve is flat, and k* can
+    run past the knee into the body; the flag says so rather than capping k.
+    """
+    n_tail = next((e.k_used for e in estimates if e.method == CNS), None)
     buf = io.StringIO()
-    buf.write("method,alpha,gamma,threshold,stderr\n")
+    buf.write("method,alpha,gamma,threshold,stderr,k_exceeds_tail\n")
     for e in estimates:
         alpha = "" if e.alpha is None else f"{e.alpha:.10g}"
         thresh = f"{e.threshold:.10g}" if e.method == CNS else str(e.k_used)
         stderr = "" if e.stderr is None else f"{e.stderr:.10g}"
-        buf.write(f"{e.method},{alpha},{e.gamma:.10g},{thresh},{stderr}\n")
+        over = "" if e.method == CNS or n_tail is None else str(e.k_used > n_tail).lower()
+        buf.write(f"{e.method},{alpha},{e.gamma:.10g},{thresh},{stderr},{over}\n")
     return buf.getvalue()

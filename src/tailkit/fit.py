@@ -227,9 +227,15 @@ def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
 # -- threshold selection ------------------------------------------------------
 
 def _distinct_stats(x: np.ndarray):
-    """Distinct values with counts, cumulative counts and log-value prefix data."""
-    dv, dcount = np.unique(x, return_counts=True)
-    dcum = dcount.cumsum()              # observations <= dv[k]
+    """Distinct values with counts, cumulative counts and log-value prefix data.
+
+    `x` is sorted ascending (as `Sample.values` is), so the distinct values
+    are the ends of its runs of equal values.
+    """
+    last = np.append(x[1:] != x[:-1], True)  # x[i] ends a run
+    dv = x[last]
+    dcum = np.flatnonzero(last) + 1          # observations <= dv[k]
+    dcount = np.diff(dcum, prepend=0)
     dt = np.log(dv)
     wlog = dcount * dt
     wsuffix = wlog[::-1].cumsum()[::-1]  # sum of log x over x >= dv[k]

@@ -10,14 +10,22 @@ same `TailFit`; it fits each discrete candidate with the library's
 `_mle_discrete` on a one-element batch, as a candidate's result does not
 depend on its batch), and `simulate_copy_loop` / `simulate_ba_loop`, the
 simulators that take one step per event (the pointer-jumping ones in
-`tailkit.growth` must return the same `counts` from the same seed).
+`tailkit.growth` must return the same `counts` from the same seed),
+`amse_curve_loop`, the double bootstrap's AMSE curve as it was computed when
+each resample drew values with `rng.choice`, sorted them and took their log
+(`tailkit.estimators._amse_curve` takes the log once per sample on a reversed
+view, so on the same strided path, and gathers it at sorted integer indices
+from the same draw; truncated at its hi, its curve must have the same bits),
+and `read_column_loop`, the CLI's reader that converted one line at a time
+(`tailkit.cli._read_column` must return the same array or raise the same
+`SchemaError`).
 """
 
 import math
 
 import numpy as np
 
-from tailkit.errors import DegenerateTail, DomainError, SampleTooSmall
+from tailkit.errors import DegenerateTail, DomainError, SampleTooSmall, SchemaError
 from tailkit.fit import (
     FitOptions,
     TailFit,
@@ -316,3 +324,37 @@ def simulate_ba_loop(cfg: GrowthConfig) -> DegreeSequence:
             deg[t] += 1
             deg[v] += 1
     return DegreeSequence(counts=deg, config=cfg, steps=n_edges)
+
+
+def amse_curve_loop(x: np.ndarray, nb: int, rng, replicates: int) -> np.ndarray:
+    """Mean over bootstrap resamples of (M2 - 2*M1^2)^2 for every k < nb."""
+    acc = np.zeros(nb - 1)
+    for _ in range(replicates):
+        sub = np.sort(rng.choice(x, size=nb, replace=True))[::-1]  # descending
+        logs = np.log(sub)
+        k = np.arange(1, nb)
+        c1 = np.cumsum(logs[:-1])
+        c2 = np.cumsum(logs[:-1] ** 2)
+        m1 = c1 / k - logs[1:]
+        m2 = c2 / k - 2.0 * logs[1:] / k * c1 + logs[1:] ** 2
+        acc += (m2 - 2.0 * m1**2) ** 2
+    return acc / replicates
+
+
+def read_column_loop(path) -> np.ndarray:
+    """One number per line; a single leading header line is tolerated."""
+    values = []
+    with open(path, encoding="utf-8") as fh:
+        for i, line in enumerate(fh):
+            text = line.strip().split(",")[0]
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                if i == 0:
+                    continue  # header
+                raise SchemaError(f"{path}: line {i + 1} is not a number: {text!r}")
+    if not values:
+        raise SchemaError(f"{path}: no numeric values found")
+    return np.asarray(values)

@@ -8,19 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailkit.cli import main
+from tailkit import cli
+from tailkit.cli import _read_column, main
+from tailkit.errors import SchemaError
 from tailkit.fixtures import write_fixture
 from tailkit.pipeline import run_pipeline
 from tailkit.powerlaw import PowerLawModel, pl_sample
 
-
-@pytest.fixture(scope="module")
-def pareto_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("data") / "pareto.csv"
-    s = pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 20_000, seed=7)
-    path.write_text("value\n" + "\n".join(f"{v:.8f}" for v in s.values),
-                    encoding="utf-8")
-    return path
+from oracles import read_column_loop
+from samples import spliced
 
 
 def run_cli(capsys, *argv):
@@ -126,13 +122,52 @@ def test_fit_reports_rejected_values(pareto_file, tmp_path, capsys):
     assert {**report, "n_rejected": 0} == clean
 
 
+# -- reading a column -----------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "value\n1.5\n2\n",                # header
+    "1.5\n2\n3",                      # no header, no final newline
+    "\n\nvalue\n1\n\n  \n2\n\n",       # blank lines, header after them
+    "value\r\n1.5\r\n2e3\r\n",          # CRLF
+    "value\r1.5\r2\r",                 # CR only
+    "v,w\n1.5,x\n 2 , 3\n,4\n",          # extra columns, an empty first field
+    "x\n1\nnan\n-3\ninf\n1_000\n",      # what float() accepts
+    "value\n1\n2\nabc\n4\n",            # bad line 4
+    "1\n\nvalue\n",                    # a non-number that is not the first line
+    "  x , 1\n\n",                     # header only
+    "",
+])
+@pytest.mark.parametrize("block", [None, 2])
+def test_read_column_matches_line_loop(text, block, tmp_path, monkeypatch):
+    # block = 2 puts a header, blank and bad lines on block boundaries
+    if block is not None:
+        monkeypatch.setattr(cli, "_READ_BLOCK", block)
+    path = tmp_path / "col.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = read_column_loop(path)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            _read_column(path)
+        assert str(got.value) == str(exc)
+    else:
+        assert _read_column(path).tobytes() == expected.tobytes()
+
+
+def test_read_column_names_a_bad_line_past_the_first_block(tmp_path):
+    path = tmp_path / "col.csv"
+    path.write_text("value\n" + "1.0\n" * 70_000 + "oops\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="line 70002 is not a number: 'oops'"):
+        _read_column(path)
+
+
 # -- compare -----------------------------------------------------------------------
 
 def test_compare_methods_agree_on_pareto(pareto_file, capsys):
     code, out, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "7")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "method,alpha,gamma,threshold,stderr"
+    assert lines[0] == "method,alpha,gamma,threshold,stderr,k_exceeds_tail"
     alphas = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(alphas) == 4
     assert max(alphas) - min(alphas) <= 0.2
@@ -149,6 +184,21 @@ def test_compare_deterministic(pareto_file, capsys):
     _, out1, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
     _, out2, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
     assert out1 == out2
+
+
+def test_compare_flags_k_beyond_the_fitted_tail(pareto_file, tmp_path, capsys):
+    # exactly Pareto above 5: the AMSE curve is flat over the tail, and on
+    # this seed k* = 2666 runs past the fitted tail of 2501 values
+    path = tmp_path / "spliced.csv"
+    path.write_text("\n".join(map(repr, spliced(5000, 74).tolist())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", str(path), "--seed", "74")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["", "true", "true", "true"]
+    assert "double-bootstrap k = 2666 exceeds the 2501 values" in err
+    _, out, err = run_cli(capsys, "compare", str(pareto_file), "--seed", "7")
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["", "false", "false", "false"]
+    assert "exceeds" not in err
 
 
 def test_compare_reports_rejected_values_on_stderr(pareto_file, tmp_path, capsys):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tailkit import estimators
+from tailkit.cli import _read_column
 from tailkit.errors import DegenerateTail, DomainError, InsufficientGrid, SampleTooSmall
 from tailkit.estimators import (
     adjusted_hill,
@@ -17,7 +20,8 @@ from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
 
-from oracles import hill_naive, moments_naive
+from oracles import amse_curve_loop, hill_naive, moments_naive
+from samples import spliced
 
 
 # -- hill ---------------------------------------------------------------------
@@ -171,6 +175,53 @@ def test_double_bootstrap_deterministic():
     assert double_bootstrap_k(s, seed=5) == double_bootstrap_k(s, seed=5)
 
 
+def _double_bootstrap_with(s, seed, curve):
+    """double_bootstrap_k(s, seed) with `curve(logx, nb, hi, rng, replicates)`
+    as its AMSE curve: k* and the two curves it read."""
+    curves = []
+
+    def record(*args):
+        curves.append(curve(*args))
+        return curves[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_amse_curve", record)
+        k = double_bootstrap_k(s, seed)
+    return k, curves
+
+
+def _assert_amse_curves_equal_loop(s, seed):
+    k, curves = _double_bootstrap_with(s, seed, estimators._amse_curve)
+    k_loop, loop = _double_bootstrap_with(
+        s, seed, lambda logx, nb, hi, rng, r: amse_curve_loop(s.values, nb, rng, r)[:hi])
+    assert [c.tobytes() for c in curves] == [c.tobytes() for c in loop]
+    assert k == k_loop == double_bootstrap_k(s, seed)
+
+
+@pytest.mark.parametrize("case", ["frechet_30k", "spliced_30k", "pareto_file", "n_500"])
+def test_amse_curve_equals_loop_oracle(case, pareto_file):
+    if case == "frechet_30k":
+        s = make_sample((-np.log(make_rng(2).random(30_000))) ** (-1 / 1.5))
+    elif case == "spliced_30k":
+        s = make_sample(spliced(30_000, 25))
+    elif case == "pareto_file":
+        s = make_sample(_read_column(pareto_file))
+    else:
+        s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 500, seed=11)
+    _assert_amse_curves_equal_loop(s, seed=3)
+
+
+@settings(deadline=None, max_examples=20)
+@given(n=st.integers(500, 5000), seed=st.integers(0, 2**32 - 1),
+       decimals=st.sampled_from([None, 2, 0]))
+def test_amse_curve_equals_loop_oracle_property(n, seed, decimals):
+    # rounding the draws ties them: heavily at 0 decimals, lightly at 2
+    x = make_rng(seed).pareto(1.5, n) + 1.0
+    if decimals is not None:
+        x = np.round(x, decimals)
+    _assert_amse_curves_equal_loop(make_sample(x), seed)
+
+
 def test_double_bootstrap_small_sample():
     s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 100, seed=1)
     with pytest.raises(SampleTooSmall):
@@ -198,6 +249,15 @@ def test_comparison_csv_shape():
     s = pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 5_000, seed=4)
     text = comparison_csv(estimator_comparison(s, seed=4))
     lines = text.strip().splitlines()
-    assert lines[0] == "method,alpha,gamma,threshold,stderr"
+    assert lines[0] == "method,alpha,gamma,threshold,stderr,k_exceeds_tail"
     assert len(lines) == 5
     assert lines[1].startswith("cns,")
+    assert [line.split(",")[-1] for line in lines[1:]] == ["", "false", "false", "false"]
+
+
+def test_comparison_csv_flags_k_beyond_the_cns_tail():
+    cns = estimators.TailIndexEstimate("cns", 0.5, 3.0, 100, 2.0)
+    rows = [cns] + [estimators.TailIndexEstimate(m, 0.5, 3.0, k, 1.0)
+                    for m, k in (("hill", 100), ("moments", 101))]
+    flags = [line.split(",")[-1] for line in comparison_csv(rows).splitlines()[1:]]
+    assert flags == ["", "false", "true"]

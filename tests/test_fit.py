@@ -29,6 +29,7 @@ from tailkit.rng import make_rng
 from tailkit.sample import make_sample
 
 from oracles import select_xmin_exhaustive, select_xmin_naive
+from samples import spliced
 
 
 # -- continuous MLE ------------------------------------------------------------
@@ -99,6 +100,18 @@ def test_mle_discrete_at_search_edge_raises():
         mle_alpha_discrete(x, xmin=1)
     with pytest.raises(DegenerateTail):
         select_xmin(make_sample(x, kind="discrete"), FitOptions(kind="discrete"))
+
+
+@given(x=st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=300),
+       ties=st.integers(0, 6))
+def test_distinct_stats_equal_np_unique(x, ties):
+    # rounding to `ties` decimals makes ties anywhere from common to rare
+    x = np.sort(np.round(np.array(x), ties) + 1.0)
+    dv, dcount, dcum, _, _ = _distinct_stats(x)
+    uv, ucount = np.unique(x, return_counts=True)
+    assert dv.tobytes() == uv.tobytes()
+    assert dcount.dtype == ucount.dtype and dcount.tobytes() == ucount.tobytes()
+    assert dcum.tobytes() == ucount.cumsum().tobytes()
 
 
 @settings(deadline=None, max_examples=25)
@@ -246,18 +259,10 @@ def test_pruned_scan_equals_exhaustive_scan(gen, n, seed, min_tail, cap, allowan
     _same_outcome(s, opts)
 
 
-def _spliced(n, seed):
-    # lognormal body below 5 under a Pareto tail (alpha 2.5) holding half the mass
-    rng = make_rng(seed)
-    body = rng.lognormal(math.log(2.0), 0.6, 4 * n)
-    body = body[body < 5.0][: n - n // 2]
-    return np.concatenate([body, 5.0 * (1.0 - rng.random(n // 2)) ** (-1 / 1.5)])
-
-
 @pytest.mark.parametrize("case", ["spliced_30k", "frechet_300k", "copy_degrees", "ba_degrees"])
 def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
     if case == "spliced_30k":
-        s = make_sample(_spliced(30_000, 1))
+        s = make_sample(spliced(30_000, 1))
     elif case == "frechet_300k":
         s = make_sample((-np.log(make_rng(2).random(300_000))) ** (-1 / 1.5))
     elif case == "copy_degrees":
