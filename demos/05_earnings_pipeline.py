@@ -2,9 +2,12 @@
 
 Parse -> impute missing earnings -> floor filter -> single-platform
 segmentation -> summary tables, per-platform tail fits, and figure series,
-one stage at a time. `tailkit.pipeline.run_pipeline` runs the same stages
-plus the per-year and per-category fits and writes every table, figure and
-the manifest; `tailkit pipeline <csv> --out <dir>` is its command line.
+one stage at a time. The rows travel as one columnar `EarningsTable`:
+numpy columns such as `table.earnings` and `table.imputed`, while
+`table[i]` reads row i back as an `EarningsRecord`.
+`tailkit.pipeline.run_pipeline` runs the same stages plus the per-year and
+per-category fits and writes every table, figure and the manifest;
+`tailkit pipeline <csv> --out <dir>` is its command line.
 
 Run:  python demos/05_earnings_pipeline.py
 """
@@ -28,11 +31,11 @@ FIXTURE = Path(__file__).resolve().parent.parent / "data" / "earnings_fixture.cs
 
 parsed = parse_csv(FIXTURE)
 print(f"parsed {len(parsed.records)} records "
-      f"({parsed.n_rejected} rejected rows)")
+      f"({parsed.n_rejected} rejected rows); the first: {parsed.records[0]}")
 
 model = fit_imputation(parsed.records)
 records, _ = impute_earnings(parsed.records, model)
-n_missing = sum(1 for r in records if r.imputed)
+n_missing = int(records.imputed.sum())
 print(f"imputed {n_missing} missing earnings "
       f"(model R^2 = {model.r_squared:.2f} on {model.n_train} rows)")
 

@@ -160,6 +160,9 @@ def cmd_compare(args) -> int:
     if sample.n_rejected:
         print(f"rejected {sample.n_rejected} non-finite or non-positive values",
               file=sys.stderr)
+    if sample.kind == DISCRETE or np.array_equal(sample.values, np.floor(sample.values)):
+        print("integer-valued sample: hill, adjusted_hill and moments assume continuous "
+              "data, and ties bias them", file=sys.stderr)
     estimates = estimator_comparison(sample, seed=args.seed)
     cns, k = estimates[0], estimates[1].k_used
     if k > cns.k_used:

@@ -37,7 +37,6 @@ scan's, bit for bit.
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -445,6 +444,8 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
     args = [(s.values, fit.kind, fit.xmin, fit.alpha, p_tail, opts, seed, i)
             for i in range(n_boot)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly import, rarely needed
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ks_reps = list(pool.map(_one_replicate, args, chunksize=max(1, n_boot // (8 * workers))))
     else:

@@ -1,9 +1,11 @@
 """Creator-earnings data pipeline.
 
-CSV rows of creator-month records go through: parsing with validation,
-linear imputation of missing earnings, an earnings floor, segmentation into
-single-platform buckets, and per-bucket summary statistics. Every stage is
-a pure function of its inputs; shuffling the input rows changes nothing.
+CSV rows of creator-month records are read into one columnar
+`EarningsTable` and go through: parsing with validation, linear imputation
+of missing earnings, an earnings floor, segmentation into single-platform
+buckets, and per-bucket summary statistics. Each stage works on whole
+columns and is a pure function of its inputs; shuffling the input rows
+changes nothing.
 
 `run_pipeline` adds the tail fits per platform, per platform and year and
 per category, and writes every artifact of `tailkit pipeline`. A group too
@@ -14,17 +16,23 @@ CSV schema (header required, UTF-8):
     creator_id,year,platforms,category,nsfw,members,paid_members,earnings
 `platforms` is a semicolon-separated subset of the known platform names;
 an empty field means the creator monetizes on the membership platform
-alone. `earnings` may be empty (missing, to be imputed).
+alone. `earnings` may be empty (missing, to be imputed). A row that ends
+before `platforms` or `earnings` reads them as empty; a row that ends
+before any other column is rejected. Each rejected row is reported with
+the physical line its record ends on.
 """
 
 import csv
+import dataclasses
 import itertools
 import json
-import operator
+import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +61,17 @@ HOME_PLATFORM = "patreon"  # bucket for creators with no other affiliation
 
 CSV_COLUMNS = ("creator_id", "year", "platforms", "category", "nsfw",
                "members", "paid_members", "earnings")
+OPTIONAL_COLUMNS = ("platforms", "earnings")  # a short row may lack these
 STATS_COLUMNS = ("platform", "obs", "mean", "median", "sd", "min", "q25", "q75", "max")
 NSFW_COLUMNS = ("platform", "year", "obs", "mean", "median", "nsfw_share")
 
+# groupings of the single-platform rows, named as in the manifest's `skipped`
+PLATFORM, PLATFORM_YEAR, CATEGORY = "platform", "platform_year", "category"
 
-@dataclass(frozen=True)
-class EarningsRecord:
-    """One creator-month row."""
+
+class EarningsRecord(NamedTuple):
+    """One creator-month row, as indexing or iterating an `EarningsTable`
+    yields it."""
 
     creator_id: str
     year: int
@@ -70,6 +82,95 @@ class EarningsRecord:
     paid_members: int
     earnings: float | None = None
     imputed: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class EarningsTable:
+    """Creator-month rows as numpy columns.
+
+    `earnings` is float64 with NaN where missing. `platform_code` indexes
+    `platform_sets` (frozensets of platform names) and `category_code`
+    indexes `categories`, which is sorted, so code order is name order.
+    Indexing or iterating yields `EarningsRecord`s; tables are equal when
+    their records are.
+    """
+
+    creator_id: np.ndarray  # object array of str
+    year: np.ndarray  # int64, as are the member counts
+    members: np.ndarray
+    paid_members: np.ndarray
+    earnings: np.ndarray
+    nsfw: np.ndarray  # bool, as is `imputed`
+    imputed: np.ndarray
+    platform_code: np.ndarray
+    category_code: np.ndarray
+    platform_sets: tuple
+    categories: tuple
+
+    @classmethod
+    def from_records(cls, records) -> "EarningsTable":
+        """The table of an iterable of `EarningsRecord`s, in their order."""
+        rows = list(records)
+        sets = {}
+        platform_code = [sets.setdefault(r.platforms, len(sets)) for r in rows]
+        categories = tuple(sorted({r.category for r in rows}))
+        category_code = [categories.index(r.category) for r in rows]
+
+        def column(name, dtype):
+            return np.array([getattr(r, name) for r in rows], dtype=dtype)
+
+        return cls(
+            creator_id=column("creator_id", object), year=column("year", np.int64),
+            members=column("members", np.int64),
+            paid_members=column("paid_members", np.int64),
+            earnings=np.array([math.nan if r.earnings is None else r.earnings
+                               for r in rows], dtype=float),
+            nsfw=column("nsfw", bool), imputed=column("imputed", bool),
+            platform_code=np.array(platform_code, dtype=np.intp),
+            category_code=np.array(category_code, dtype=np.intp),
+            platform_sets=tuple(sets), categories=categories)
+
+    def __len__(self):
+        return self.year.size
+
+    def take(self, rows) -> "EarningsTable":
+        """The table of `rows`: an index array or a boolean mask."""
+        return dataclasses.replace(self, **{
+            f.name: getattr(self, f.name)[rows] for f in dataclasses.fields(self)
+            if isinstance(getattr(self, f.name), np.ndarray)})
+
+    def __iter__(self):
+        return map(
+            EarningsRecord, self.creator_id.tolist(), self.year.tolist(),
+            map(self.platform_sets.__getitem__, self.platform_code.tolist()),
+            map(self.categories.__getitem__, self.category_code.tolist()),
+            self.nsfw.tolist(), self.members.tolist(), self.paid_members.tolist(),
+            (None if math.isnan(e) else e for e in self.earnings.tolist()),
+            self.imputed.tolist())
+
+    def __getitem__(self, i) -> EarningsRecord:
+        return next(iter(self.take([range(len(self))[i]])))
+
+    def __eq__(self, other):
+        if not isinstance(other, EarningsTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    @cached_property
+    def _single_platform(self):
+        """(names, bucket, order): the sorted single-platform bucket names,
+        each row's index into them (-1 for a multi-platform row), and the
+        single-platform rows sorted stably by (bucket, year)."""
+        buckets = [platform_of(s) for s in self.platform_sets]
+        names = sorted({b for b in buckets if b is not None})
+        rank = np.array([-1 if b is None else names.index(b) for b in buckets],
+                        dtype=np.intp)
+        bucket = rank[self.platform_code]
+        single = np.flatnonzero(bucket >= 0)
+        order = single[np.lexsort((self.year[single], bucket[single]))]
+        return names, bucket, order
 
 
 @dataclass(frozen=True)
@@ -90,7 +191,7 @@ class PlatformStats:
 
 @dataclass(frozen=True)
 class ParseResult:
-    records: list
+    records: EarningsTable
     diagnostics: list = field(default_factory=list)
 
     @property
@@ -107,78 +208,182 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def parse_csv(path) -> ParseResult:
-    """Read earnings records, rejecting malformed rows with line-numbered
-    diagnostics. Missing required columns raise SchemaError."""
-    records, diagnostics = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"missing required columns: {', '.join(missing)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(_parse_row(row))
-            except ValueError as exc:
-                diagnostics.append(f"line {lineno}: {exc}")
-    return ParseResult(records=records, diagnostics=diagnostics)
-
-
-def _parse_row(row) -> EarningsRecord:
-    year = int(row["year"])
-    raw = (row["platforms"] or "").strip()
-    platforms = frozenset(p.strip().lower() for p in raw.split(";") if p.strip())
+def _parse_platforms(text: str) -> frozenset:
+    platforms = frozenset(p.strip().lower() for p in text.split(";") if p.strip())
     unknown = platforms - set(KNOWN_PLATFORMS)
     if unknown:
         raise ValueError(f"unknown platform(s): {', '.join(sorted(unknown))}")
-    members = int(row["members"])
-    paid = int(row["paid_members"])
-    if members < 0 or paid < 0:
-        raise ValueError("member counts must be nonnegative")
-    if paid > members:
-        raise ValueError(f"paid_members {paid} exceeds members {members}")
-    raw_earn = (row["earnings"] or "").strip()
-    earnings = None
-    if raw_earn:
-        earnings = float(raw_earn)
-        if not np.isfinite(earnings) or earnings < 0:
-            raise ValueError(f"earnings must be a finite nonnegative number, got {raw_earn}")
-    return EarningsRecord(
-        creator_id=row["creator_id"].strip(),
-        year=year,
-        platforms=platforms,
-        category=row["category"].strip().lower(),
-        nsfw=_parse_bool(row["nsfw"]),
-        members=members,
-        paid_members=paid,
-        earnings=earnings,
-        imputed=False,
+    return platforms
+
+
+def _convert(texts, parse):
+    """(values, errors): `parse` of each text, with 0 in place of each
+    ValueError, whose message `errors` keeps by position."""
+    try:
+        return list(map(parse, texts)), {}
+    except ValueError:
+        values, errors = [], {}
+        for i, text in enumerate(texts):
+            try:
+                values.append(parse(text))
+            except ValueError as exc:
+                values.append(0)
+                errors[i] = str(exc)
+        return values, errors
+
+
+def _int64(texts, name):
+    """(column, errors): each text read by `int` into an int64 column, with
+    0 in place of a text that does not parse or fit, and its message."""
+    values, errors = _convert(texts, int)
+    try:
+        return np.array(values, dtype=np.int64), errors
+    except OverflowError:
+        for i, v in enumerate(values):
+            if not -2**63 <= v < 2**63:
+                values[i] = 0
+                errors[i] = f"{name} {v} does not fit in 64 bits"
+        return np.array(values, dtype=np.int64), errors
+
+
+class _Decoder:
+    """Parses each distinct text of a column once, across all blocks:
+    `values[code]` is the parse of a text, None where it raised ValueError
+    with the message `errors[code]`."""
+
+    def __init__(self, parse):
+        self.parse, self.index, self.values, self.errors = parse, {}, [], {}
+
+    def __call__(self, texts):
+        """(codes, errors): each text's code, and by position the message
+        of each text that does not parse."""
+        for text in dict.fromkeys(texts):
+            if text not in self.index:
+                self.index[text] = code = len(self.values)
+                try:
+                    self.values.append(self.parse(text))
+                except ValueError as exc:
+                    self.values.append(None)
+                    self.errors[code] = str(exc)
+        codes = np.fromiter(map(self.index.__getitem__, texts), dtype=np.intp,
+                            count=len(texts))
+        bad = np.flatnonzero(np.isin(codes, list(self.errors))).tolist()
+        return codes, {i: self.errors[codes[i]] for i in bad}
+
+
+def _where(mask, message) -> dict:
+    return {i: message(i) for i in np.flatnonzero(mask).tolist()}
+
+
+_BLOCK = 1 << 13  # rows parsed at a time, so one block's field strings are alive
+
+
+def parse_csv(path) -> ParseResult:
+    """Read earnings records into an `EarningsTable`, rejecting malformed
+    rows with diagnostics numbered by the physical line each row ends on.
+    Missing required columns raise SchemaError.
+
+    Blank lines are skipped. Rows are parsed a block at a time; each
+    distinct `platforms`, `category` and `nsfw` text is parsed once.
+    """
+    decode = {"platforms": _Decoder(_parse_platforms), "nsfw": _Decoder(_parse_bool),
+              "category": _Decoder(lambda t: t.strip().lower())}
+    parts, diagnostics = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"missing required columns: {', '.join(missing)}")
+        position = {name: i for i, name in enumerate(header)}  # the last of repeats
+        numbered = ((row, reader.line_num) for row in reader if row)
+        while True:
+            block = list(itertools.islice(numbered, _BLOCK))
+            parts.append(_parse_block(block, position, decode, diagnostics))
+            if len(block) < _BLOCK:
+                break
+    col = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    texts = decode["category"].values  # normalized, by code; sorted below
+    categories = tuple(sorted(set(texts)))
+    col["category_code"] = np.array([categories.index(c) for c in texts],
+                                    dtype=np.intp)[col["category_code"]]
+    table = EarningsTable(
+        **col, imputed=np.zeros(col["year"].size, dtype=bool), categories=categories,
+        platform_sets=tuple(frozenset() if s is None else s
+                            for s in decode["platforms"].values))
+    return ParseResult(records=table, diagnostics=diagnostics)
+
+
+def _parse_block(block, position, decode, diagnostics) -> dict:
+    """The accepted rows of `block`, (row, line) pairs, as columns; appends
+    a diagnostic per rejected row to `diagnostics`. Each rule maps the rows
+    it rejects to a message; a row failing several rules gets the message
+    of the first, in the order of `rules` below."""
+    n = len(block)
+    rows, lines = zip(*block) if block else ((), ())
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    col = {c: columns[position[c]] if position[c] < len(columns) else ("",) * n
+           for c in CSV_COLUMNS}
+    width = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+    year, year_errors = _int64(col["year"], "year")
+    platform_code, platform_errors = decode["platforms"](col["platforms"])
+    members, members_errors = _int64(col["members"], "members")
+    paid, paid_errors = _int64(col["paid_members"], "paid_members")
+    earn_text = [t.strip() for t in col["earnings"]]
+    earnings, earn_errors = _convert(earn_text, lambda t: float(t) if t else math.nan)
+    earnings = np.array(earnings, dtype=float)
+    nsfw_code, nsfw_errors = decode["nsfw"](col["nsfw"])
+    rules = (
+        _where(width <= max(position[c] for c in CSV_COLUMNS if c not in OPTIONAL_COLUMNS),
+               lambda i: "missing field(s): " + ", ".join(
+                   c for c in CSV_COLUMNS if position[c] >= width[i])),
+        year_errors, platform_errors, members_errors, paid_errors,
+        _where((members < 0) | (paid < 0), lambda i: "member counts must be nonnegative"),
+        _where(paid > members, lambda i: f"paid_members {paid[i]} exceeds members {members[i]}"),
+        earn_errors,
+        _where(~(np.isfinite(earnings) & (earnings >= 0))
+               & np.array(earn_text, dtype=bool),  # a nonempty text
+               lambda i: f"earnings must be a finite nonnegative number, got {earn_text[i]}"),
+        nsfw_errors,
     )
+    reasons = {}
+    for rule in rules:
+        for i, message in rule.items():
+            reasons.setdefault(i, message)
+    diagnostics.extend(f"line {lines[i]}: {reasons[i]}" for i in sorted(reasons))
+    keep = np.ones(n, dtype=bool)
+    keep[list(reasons)] = False
+    nsfw = np.array([v is True for v in decode["nsfw"].values], dtype=bool)
+    return {"creator_id": np.array([t.strip() for t in col["creator_id"]], dtype=object)[keep],
+            "year": year[keep], "members": members[keep], "paid_members": paid[keep],
+            "earnings": earnings[keep], "nsfw": nsfw[nsfw_code][keep],
+            "platform_code": platform_code[keep],
+            "category_code": decode["category"](col["category"])[0][keep]}
 
 
 # -- imputation -----------------------------------------------------------------
 
-def _design_row(rec: EarningsRecord, categories, years) -> np.ndarray:
-    """Regression row: intercept, paid_members, members, category one-hots,
-    nsfw, year one-hots. The first level of each block is the reference and
-    carries no column; unseen levels collapse to the reference."""
+def _design(table: EarningsTable, rows, categories, years) -> np.ndarray:
+    """Regression rows of `table[rows]`: intercept, paid_members, members,
+    category one-hots, nsfw, year one-hots. The first level of each block
+    is the reference and carries no column; unseen levels collapse to the
+    reference."""
     n_cat = max(len(categories) - 1, 0)
     n_year = max(len(years) - 1, 0)
-    x = np.zeros(4 + n_cat + n_year)
-    x[0] = 1.0
-    x[1] = rec.paid_members
-    x[2] = rec.members
-    if n_cat and rec.category in categories:
-        idx = categories.index(rec.category)
-        if idx > 0:
-            x[2 + idx] = 1.0
-    x[3 + n_cat] = 1.0 if rec.nsfw else 0.0
-    if n_year and rec.year in years:
-        idx = years.index(rec.year)
-        if idx > 0:
-            x[3 + n_cat + idx] = 1.0
-    return x
+    X = np.zeros((len(rows), 4 + n_cat + n_year))
+    X[:, 0] = 1.0
+    X[:, 1] = table.paid_members[rows]
+    X[:, 2] = table.members[rows]
+    X[:, 3 + n_cat] = table.nsfw[rows]
+    cat_level = np.array([categories.index(c) if c in categories else -1
+                          for c in table.categories], dtype=np.intp)[table.category_code[rows]]
+    year = table.year[rows]
+    pos = np.minimum(np.searchsorted(years, year), len(years) - 1)
+    year_level = np.where(np.take(years, pos) == year, pos, -1)
+    for offset, level in ((2, cat_level), (3 + n_cat, year_level)):
+        hit = np.flatnonzero(level > 0)
+        X[hit, offset + level[hit]] = 1.0
+    return X
 
 
 @dataclass(frozen=True)
@@ -186,7 +391,7 @@ class ImputationModel:
     """Linear model of earnings, trained on observed rows only.
 
     Fit by normal equations with a small ridge jitter for rank safety; see
-    `_design_row` for the encoding.
+    `_design` for the encoding.
     """
 
     coef: np.ndarray
@@ -195,32 +400,32 @@ class ImputationModel:
     r_squared: float
     n_train: int
 
-    def predict(self, rec: EarningsRecord) -> float:
-        return float(_design_row(rec, self.categories, self.years) @ self.coef)
-
-    def knows_category(self, rec: EarningsRecord) -> bool:
-        return len(self.categories) <= 1 or rec.category in self.categories
-
 
 _RIDGE_JITTER = 1e-8
 _MIN_TRAIN = 50
 
 
-def fit_imputation(records) -> ImputationModel:
+def fit_imputation(table: EarningsTable) -> ImputationModel:
     """Least-squares earnings model on rows with observed earnings.
 
-    Rows are accumulated in a canonical order so the fit is a pure function
-    of the record multiset, not of the input ordering.
+    Rows enter in a canonical order, a stable sort on (creator_id, year,
+    category, earnings), so the fit is a pure function of the row
+    multiset, not of the input ordering.
     """
-    observed = [r for r in records if r.earnings is not None]
-    if len(observed) < _MIN_TRAIN:
+    observed = np.flatnonzero(~np.isnan(table.earnings))
+    if observed.size < _MIN_TRAIN:
         raise SampleTooSmall(
-            f"imputation needs >= {_MIN_TRAIN} observed rows, got {len(observed)}")
-    observed.sort(key=lambda r: (r.creator_id, r.year, r.category, r.earnings))
-    categories = tuple(sorted({r.category for r in observed}))
-    years = tuple(sorted({r.year for r in observed}))
-    X = np.array([_design_row(r, categories, years) for r in observed])
-    y = np.array([r.earnings for r in observed])
+            f"imputation needs >= {_MIN_TRAIN} observed rows, got {observed.size}")
+    ids = table.creator_id[observed].tolist()
+    rank = {c: i for i, c in enumerate(sorted(dict.fromkeys(ids)))}
+    rows = observed[np.lexsort((
+        table.earnings[observed], table.category_code[observed], table.year[observed],
+        np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))))]
+    categories = tuple(table.categories[c]
+                       for c in np.unique(table.category_code[rows]).tolist())
+    years = tuple(np.unique(table.year[rows]).tolist())
+    X = _design(table, rows, categories, years)
+    y = table.earnings[rows]
     gram = X.T @ X + _RIDGE_JITTER * np.eye(X.shape[1])
     try:
         coef = np.linalg.solve(gram, X.T @ y)
@@ -232,74 +437,86 @@ def fit_imputation(records) -> ImputationModel:
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 - float((resid**2).sum()) / tss if tss > 0 else 1.0
     return ImputationModel(coef=coef, categories=categories, years=years,
-                           r_squared=r2, n_train=len(observed))
+                           r_squared=r2, n_train=int(observed.size))
 
 
-def impute_earnings(records, model: ImputationModel):
-    """Fill missing earnings with model predictions (clamped at 0).
+def impute_earnings(table: EarningsTable, model: ImputationModel):
+    """Fill missing earnings with model predictions (clamped at 0) and flag
+    those rows `imputed`.
 
     Observed rows pass through untouched. Rows whose category the model has
     never seen are imputed with the reference-level encoding; their count
-    is returned alongside the records.
+    is returned alongside the table.
     """
-    out = []
-    n_unseen = 0
-    for r in records:
-        if r.earnings is not None:
-            out.append(r)
-            continue
-        if not model.knows_category(r):
-            n_unseen += 1
-        pred = max(model.predict(r), 0.0)
-        out.append(replace(r, earnings=pred, imputed=True))
-    return out, n_unseen
+    missing = np.flatnonzero(np.isnan(table.earnings))
+    X = _design(table, missing, model.categories, model.years)
+    earnings, imputed = table.earnings.copy(), table.imputed.copy()
+    # one dot product per row: a matrix product rounds some rows differently
+    earnings[missing] = [max(float(x @ model.coef), 0.0) for x in X]
+    imputed[missing] = True
+    known = np.array([len(model.categories) <= 1 or c in model.categories
+                      for c in table.categories], dtype=bool)
+    n_unseen = int(missing.size - known[table.category_code[missing]].sum())
+    return dataclasses.replace(table, earnings=earnings, imputed=imputed), n_unseen
 
 
 # -- filtering and segmentation ----------------------------------------------------
 
-def filter_floor(records, floor: float = 10.0, inclusive: bool = False):
-    """Keep records earning above the floor (or at least it, if inclusive).
+def filter_floor(table: EarningsTable, floor: float = 10.0, inclusive: bool = False):
+    """Keep rows earning above the floor (or at least it, if inclusive).
 
-    Returns (kept, n_dropped). All records must have earnings by now.
+    Returns (kept, n_dropped). All rows must have earnings by now.
     """
-    if inclusive:
-        kept = [r for r in records if r.earnings >= floor]
-    else:
-        kept = [r for r in records if r.earnings > floor]
-    return kept, len(records) - len(kept)
+    keep = table.earnings >= floor if inclusive else table.earnings > floor
+    return table.take(keep), len(table) - int(keep.sum())
 
 
-def platform_of(rec: EarningsRecord) -> str | None:
-    """Single-platform bucket name, or None for multi-platform records."""
-    if len(rec.platforms) > 1:
+def platform_of(platforms: frozenset) -> str | None:
+    """Single-platform bucket name of a platform set, or None for several."""
+    if len(platforms) > 1:
         return None
-    if len(rec.platforms) == 1:
-        return next(iter(rec.platforms))
+    if len(platforms) == 1:
+        return next(iter(platforms))
     return HOME_PLATFORM
 
 
-def group_single_platform(records, key, value) -> dict:
-    """`value(record)` of each single-platform record, grouped by
-    `key(platform, record)` in input order; multi-platform records are
-    dropped. One pass, so each record is read once."""
-    groups = {}
-    for r in records:
-        p = platform_of(r)
-        if p is None:
-            continue
-        groups.setdefault(key(p, r), []).append(value(r))
-    return groups
+def _groups(table: EarningsTable, by: str):
+    """(key, row indices) of each group of single-platform rows, in key
+    order: by PLATFORM (key: bucket name), PLATFORM_YEAR ((bucket, year))
+    or CATEGORY (category)."""
+    names, bucket, order = table._single_platform
+    keys = {PLATFORM: (bucket,), PLATFORM_YEAR: (bucket, table.year),
+            CATEGORY: (table.category_code,)}[by]
+    if by == CATEGORY:
+        order = order[np.argsort(table.category_code[order], kind="stable")]
+    if not order.size:
+        return []
+    edge = np.zeros(order.size, dtype=bool)
+    edge[0] = True
+    for k in keys:
+        k = k[order]
+        edge[1:] |= k[1:] != k[:-1]
+    groups = np.split(order, np.flatnonzero(edge)[1:])
+    first = order[edge]
+    if by == PLATFORM:
+        labels = [names[b] for b in bucket[first].tolist()]
+    elif by == PLATFORM_YEAR:
+        labels = [(names[b], y) for b, y in zip(bucket[first].tolist(),
+                                                table.year[first].tolist())]
+    else:
+        labels = [table.categories[c] for c in table.category_code[first].tolist()]
+    return list(zip(labels, groups))
 
 
-def group_samples(records, key) -> dict:
-    """Earnings samples of `group_single_platform` groups, in key order."""
-    groups = group_single_platform(records, key, operator.attrgetter("earnings"))
-    return {k: make_sample(v, kind=CONTINUOUS) for k, v in sorted(groups.items())}
+def group_samples(table: EarningsTable, by: str) -> dict:
+    """Earnings samples of the `_groups` of single-platform rows, in key order."""
+    return {key: make_sample(table.earnings[rows], kind=CONTINUOUS)
+            for key, rows in _groups(table, by)}
 
 
-def segment_single_platform(records) -> dict:
+def segment_single_platform(table: EarningsTable) -> dict:
     """Earnings samples keyed by platform, multi-platform creators dropped."""
-    return group_samples(records, lambda p, r: p)
+    return group_samples(table, PLATFORM)
 
 
 # -- summaries ----------------------------------------------------------------------
@@ -317,17 +534,15 @@ def summary_stats(sample: Sample, platform: str = "") -> PlatformStats:
         sd_degenerate=degenerate)
 
 
-def nsfw_breakdown(records):
+def nsfw_breakdown(table: EarningsTable):
     """Per (platform, year): observation count, mean and median earnings,
-    and the share of records flagged nsfw. Multi-platform records are
-    excluded; empty buckets do not appear."""
-    groups = group_single_platform(records, lambda p, r: (p, r.year), lambda r: r)
+    and the share of rows flagged nsfw. Multi-platform rows are excluded;
+    empty buckets do not appear."""
     rows = []
-    for (p, year), recs in sorted(groups.items()):
-        earn = np.sort(np.array([r.earnings for r in recs], dtype=float))
-        share = sum(1 for r in recs if r.nsfw) / len(recs)
-        rows.append((p, year, len(recs), float(earn.mean()),
-                     float(np.median(earn)), share))
+    for (p, year), idx in _groups(table, PLATFORM_YEAR):
+        earn = np.sort(table.earnings[idx])
+        rows.append((p, year, idx.size, float(earn.mean()), float(np.median(earn)),
+                     int(table.nsfw[idx].sum()) / idx.size))
     return rows
 
 
@@ -414,7 +629,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     skipped = {}
     figures = {}
     figure_inputs = {}  # figure name -> sha256 of the fit report it draws
-    fits, skipped["platform"] = fit_groups(buckets, opts)
+    fits, skipped[PLATFORM] = fit_groups(buckets, opts)
     for p, fit in fits.items():
         s = buckets[p]
         gof = None
@@ -425,8 +640,8 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
         figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]
 
-    fits_by_year, skipped["platform_year"] = fit_groups(
-        group_samples(records, lambda p, r: (p, r.year)), opts)
+    fits_by_year, skipped[PLATFORM_YEAR] = fit_groups(
+        group_samples(records, PLATFORM_YEAR), opts)
     if fits_by_year:
         pooled_rows, year_rows = alpha_panel(fits_by_year)
         write("alpha_by_platform.csv", csv_table(("platform", "alpha_mean"), pooled_rows))
@@ -451,8 +666,8 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
             ("platform", "proportion"), zip(ranked.labels, (y for _, y in ranked.points))))
         figures["power_law_proportion"] = [ranked]
 
-    cat_samples = group_samples(records, lambda p, r: r.category)
-    cat_fits, skipped["category"] = fit_groups(cat_samples, opts)
+    cat_samples = group_samples(records, CATEGORY)
+    cat_fits, skipped[CATEGORY] = fit_groups(cat_samples, opts)
     if cat_fits:
         rows, simple, weighted = category_panel(
             cat_fits, {c: len(cat_samples[c]) for c in cat_fits})

@@ -16,11 +16,15 @@ each resample drew values with `rng.choice`, sorted them and took their log
 (`tailkit.estimators._amse_curve` takes the log once per sample on a reversed
 view, so on the same strided path, and gathers it at sorted integer indices
 from the same draw; truncated at its hi, its curve must have the same bits),
-and `read_column_loop`, the CLI's reader that converted one line at a time
+`read_column_loop`, the CLI's reader that converted one line at a time
 (`tailkit.cli._read_column` must return the same array or raise the same
-`SchemaError`).
+`SchemaError`), and the earnings pipeline's row path (`parse_csv_rows` to
+`nsfw_rows`), which held one frozen `EarningsRecord` per row: the columnar
+`tailkit.pipeline` stages must accept the same rows with the same
+diagnostics, fit the same `coef` bit for bit, and group the same samples.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -37,9 +41,20 @@ from tailkit.fit import (
     mle_alpha_discrete,
 )
 from tailkit.growth import BA, COPY, DegreeSequence, GrowthConfig
+from tailkit.pipeline import (
+    CATEGORY,
+    CSV_COLUMNS,
+    HOME_PLATFORM,
+    KNOWN_PLATFORMS,
+    OPTIONAL_COLUMNS,
+    PLATFORM,
+    EarningsRecord,
+    ImputationModel,
+    ParseResult,
+)
 from tailkit.powerlaw import hurwitz_zeta
 from tailkit.rng import make_rng
-from tailkit.sample import CONTINUOUS
+from tailkit.sample import CONTINUOUS, make_sample
 
 
 def ks_naive(tail, alpha, xmin, kind="continuous"):
@@ -358,3 +373,173 @@ def read_column_loop(path) -> np.ndarray:
     if not values:
         raise SchemaError(f"{path}: no numeric values found")
     return np.asarray(values)
+
+
+# -- the earnings pipeline, one record at a time ------------------------------------
+
+def parse_csv_rows(path) -> ParseResult:
+    """Earnings rows read by `csv.DictReader` into a list of records.
+
+    Beyond the former code it rejects a row that lacks a required field
+    (that raised TypeError) or holds a number outside int64, and numbers a
+    diagnostic by the physical line its row ends on, not by its record
+    count.
+    """
+    records, diagnostics = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in CSV_COLUMNS if c not in header]
+        if missing:
+            raise SchemaError(f"missing required columns: {', '.join(missing)}")
+        for row in reader:
+            try:
+                records.append(parse_row(row))
+            except ValueError as exc:
+                diagnostics.append(f"line {reader.line_num}: {exc}")
+    return ParseResult(records=records, diagnostics=diagnostics)
+
+
+def _fits_int64(value: int) -> bool:
+    return -2**63 <= value < 2**63
+
+
+def parse_row(row) -> EarningsRecord:
+    absent = [c for c in CSV_COLUMNS if row[c] is None]
+    if set(absent) - set(OPTIONAL_COLUMNS):
+        raise ValueError(f"missing field(s): {', '.join(absent)}")
+    year = int(row["year"])
+    if not _fits_int64(year):
+        raise ValueError(f"year {year} does not fit in 64 bits")
+    raw = (row["platforms"] or "").strip()
+    platforms = frozenset(p.strip().lower() for p in raw.split(";") if p.strip())
+    unknown = platforms - set(KNOWN_PLATFORMS)
+    if unknown:
+        raise ValueError(f"unknown platform(s): {', '.join(sorted(unknown))}")
+    members = int(row["members"])
+    if not _fits_int64(members):
+        raise ValueError(f"members {members} does not fit in 64 bits")
+    paid = int(row["paid_members"])
+    if not _fits_int64(paid):
+        raise ValueError(f"paid_members {paid} does not fit in 64 bits")
+    if members < 0 or paid < 0:
+        raise ValueError("member counts must be nonnegative")
+    if paid > members:
+        raise ValueError(f"paid_members {paid} exceeds members {members}")
+    raw_earn = (row["earnings"] or "").strip()
+    earnings = None
+    if raw_earn:
+        earnings = float(raw_earn)
+        if not np.isfinite(earnings) or earnings < 0:
+            raise ValueError(f"earnings must be a finite nonnegative number, got {raw_earn}")
+    return EarningsRecord(
+        creator_id=row["creator_id"].strip(),
+        year=year,
+        platforms=platforms,
+        category=row["category"].strip().lower(),
+        nsfw=parse_bool(row["nsfw"]),
+        members=members,
+        paid_members=paid,
+        earnings=earnings,
+        imputed=False,
+    )
+
+
+def parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("true", "1", "yes"):
+        return True
+    if t in ("false", "0", "no", ""):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def design_row(rec: EarningsRecord, categories, years) -> np.ndarray:
+    """Regression row: intercept, paid_members, members, category one-hots,
+    nsfw, year one-hots; the first level of a block and unseen levels carry
+    no column."""
+    n_cat = max(len(categories) - 1, 0)
+    n_year = max(len(years) - 1, 0)
+    x = np.zeros(4 + n_cat + n_year)
+    x[0] = 1.0
+    x[1] = rec.paid_members
+    x[2] = rec.members
+    if n_cat and rec.category in categories:
+        idx = categories.index(rec.category)
+        if idx > 0:
+            x[2 + idx] = 1.0
+    x[3 + n_cat] = 1.0 if rec.nsfw else 0.0
+    if n_year and rec.year in years:
+        idx = years.index(rec.year)
+        if idx > 0:
+            x[3 + n_cat + idx] = 1.0
+    return x
+
+
+def fit_imputation_rows(records) -> ImputationModel:
+    observed = [r for r in records if r.earnings is not None]
+    if len(observed) < 50:
+        raise SampleTooSmall(f"imputation needs >= 50 observed rows, got {len(observed)}")
+    observed.sort(key=lambda r: (r.creator_id, r.year, r.category, r.earnings))
+    categories = tuple(sorted({r.category for r in observed}))
+    years = tuple(sorted({r.year for r in observed}))
+    X = np.array([design_row(r, categories, years) for r in observed])
+    y = np.array([r.earnings for r in observed])
+    coef = np.linalg.solve(X.T @ X + 1e-8 * np.eye(X.shape[1]), X.T @ y)
+    resid = y - X @ coef
+    tss = float(((y - y.mean()) ** 2).sum())
+    r2 = 1.0 - float((resid**2).sum()) / tss if tss > 0 else 1.0
+    return ImputationModel(coef=coef, categories=categories, years=years,
+                           r_squared=r2, n_train=len(observed))
+
+
+def impute_rows(records, model: ImputationModel):
+    out, n_unseen = [], 0
+    for r in records:
+        if r.earnings is not None:
+            out.append(r)
+            continue
+        if not (len(model.categories) <= 1 or r.category in model.categories):
+            n_unseen += 1
+        pred = float(design_row(r, model.categories, model.years) @ model.coef)
+        out.append(r._replace(earnings=max(pred, 0.0), imputed=True))
+    return out, n_unseen
+
+
+def filter_floor_rows(records, floor=10.0, inclusive=False):
+    kept = [r for r in records if (r.earnings >= floor if inclusive else r.earnings > floor)]
+    return kept, len(records) - len(kept)
+
+
+def group_rows(records, key) -> dict:
+    """`key(platform, record)` -> records of each single-platform group."""
+    groups = {}
+    for r in records:
+        if len(r.platforms) > 1:
+            continue
+        p = next(iter(r.platforms)) if r.platforms else HOME_PLATFORM
+        groups.setdefault(key(p, r), []).append(r)
+    return dict(sorted(groups.items()))
+
+
+_ROW_KEYS = {PLATFORM: lambda p, r: p, CATEGORY: lambda p, r: r.category}
+
+
+def group_samples_rows(records, by) -> dict:
+    """Earnings samples of each group, keyed as `tailkit.pipeline.group_samples`."""
+    key = _ROW_KEYS.get(by, lambda p, r: (p, r.year))
+    return {k: make_sample([r.earnings for r in recs], kind=CONTINUOUS)
+            for k, recs in group_rows(records, key).items()}
+
+
+def segment_rows(records) -> dict:
+    return group_samples_rows(records, PLATFORM)
+
+
+def nsfw_rows(records):
+    rows = []
+    for (p, year), recs in group_rows(records, lambda p, r: (p, r.year)).items():
+        earn = np.sort(np.array([r.earnings for r in recs], dtype=float))
+        share = sum(1 for r in recs if r.nsfw) / len(recs)
+        rows.append((p, year, len(recs), float(earn.mean()), float(np.median(earn)), share))
+    return rows

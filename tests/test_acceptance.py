@@ -24,7 +24,8 @@ from tailkit.growth import (
     simulate_ba,
     simulate_copy,
 )
-from tailkit.pipeline import parse_csv, segment_single_platform, summary_stats
+from tailkit.pipeline import (EarningsTable, parse_csv, segment_single_platform,
+                              summary_stats)
 from tailkit.powerlaw import PowerLawModel, ks_distance, pl_sample
 from tailkit.report import spearman
 from tailkit.rng import make_rng
@@ -193,7 +194,7 @@ def test_criterion_7_pipeline_fidelity(tmp_path, capsys):
     # summary statistics against the brute-force reimplementation
     records = parse_csv(FIXTURE).records
     observed = [r for r in records if r.earnings is not None and r.earnings > 10.0]
-    buckets = segment_single_platform(observed)
+    buckets = segment_single_platform(EarningsTable.from_records(observed))
     stats_ok = True
     for platform, sample in buckets.items():
         got = summary_stats(sample, platform)

@@ -213,6 +213,21 @@ def test_compare_reports_rejected_values_on_stderr(pareto_file, tmp_path, capsys
     assert "rejected 3 " in dirty_err
 
 
+def test_compare_warns_that_ties_bias_the_hill_type_rows(pareto_file, tmp_path, capsys):
+    path = tmp_path / "floored.csv"
+    floored = np.floor(pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 5000, seed=1).values)
+    path.write_text("\n".join(f"{v:.0f}" for v in floored), encoding="utf-8")
+    warning = "hill, adjusted_hill and moments assume continuous data, and ties bias them"
+    for argv in ([], ["--kind", "discrete"]):
+        code, out, err = run_cli(capsys, "compare", str(path), "--seed", "3", *argv)
+        assert code == 0, err
+        assert err.count(warning) == 1
+        assert out.splitlines()[0] == "method,alpha,gamma,threshold,stderr,k_exceeds_tail"
+    code, out, err = run_cli(capsys, "compare", str(pareto_file), "--seed", "3",
+                             "--kind", "continuous")
+    assert warning not in err
+
+
 # -- pipeline ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -356,6 +371,13 @@ def _run_python(*args, cwd=None):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     proc = _run_python("-c", "import sys, tailkit.cli; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    proc = _run_python("-c", "import sys, tailkit.cli; "
+                       "print('concurrent.futures.process' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
