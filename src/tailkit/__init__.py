@@ -54,7 +54,6 @@ from .fit import (
 from .growth import (
     DegreeSequence,
     GrowthConfig,
-    TheoryPrediction,
     ccdf_slope,
     gamma_sweep,
     measure_exponent,
@@ -99,7 +98,6 @@ __all__ = [
     "TailFit",
     "TailIndexEstimate",
     "TailkitError",
-    "TheoryPrediction",
     "adjusted_hill",
     "ccdf_slope",
     "convert_exponent",

@@ -28,11 +28,8 @@ from .errors import (
     DegenerateTail,
     DomainError,
     EmptySample,
-    KindMismatch,
-    RenderError,
     SampleTooSmall,
     SchemaError,
-    SingularDesign,
     TailkitError,
 )
 from .estimators import comparison_csv, estimator_comparison
@@ -51,17 +48,18 @@ from .pipeline import run_pipeline
 from .sample import CONTINUOUS, DISCRETE, make_sample
 
 DEFAULT_SEED = 20240301
-_EXIT_IO = 1
-_EXIT_SCHEMA = 2
-_EXIT_TOO_SMALL = 3
-_EXIT_DEGENERATE = 4
+# exit code per error class; an error takes the entry of its nearest class
+# in method resolution order, so every other TailkitError exits 2
+_EXIT_CODES = {OSError: 1, TailkitError: 2, SampleTooSmall: 3, EmptySample: 3,
+               DegenerateTail: 4}
 
 
 def _workers() -> int:
-    env = os.environ.get("TAILKIT_WORKERS")
-    if env:
+    env = os.environ.get("TAILKIT_WORKERS") or "1"
+    try:
         return max(int(env), 1)
-    return 1
+    except ValueError:
+        raise DomainError(f"TAILKIT_WORKERS must be an integer, got {env!r}") from None
 
 
 _READ_BLOCK = 1 << 16  # lines converted per np.array call
@@ -238,22 +236,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, DomainError, SingularDesign, KindMismatch,
-            RenderError) as exc:
+    except (TailkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
-    except (SampleTooSmall, EmptySample) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_TOO_SMALL
-    except DegenerateTail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DEGENERATE
-    except TailkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
 
 
 if __name__ == "__main__":

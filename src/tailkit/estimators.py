@@ -6,7 +6,6 @@ extreme-value index gamma = 1/(alpha - 1) off the top-k log-spacings, with a
 double-bootstrap rule to pick k automatically.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -14,6 +13,7 @@ import numpy as np
 
 from .errors import DegenerateTail, DomainError, InsufficientGrid, SampleTooSmall
 from .fit import FitOptions, select_xmin
+from .report import csv_table
 from .rng import make_rng
 from .sample import Sample
 
@@ -92,22 +92,20 @@ _ADJ_GRID_POINTS = 20
 _ADJ_MIN_POINTS = 5
 
 
-def adjusted_hill(s: Sample, k: int, rho: float = -1.0) -> TailIndexEstimate:
+def adjusted_hill(s: Sample, k: int) -> TailIndexEstimate:
     """Hill with a second-order bias correction.
 
-    Hill estimates over a grid of k' <= k are regressed on the bias
-    regressor (k'/n)^(-rho) (second-order parameter rho < 0, default -1) and
+    Hill estimates over a grid of k' <= k are regressed on k'/n, the bias
+    regressor (k'/n)^(-rho) for second-order parameter rho = -1, and
     extrapolated to k' -> 0; the regression intercept is the corrected gamma.
     """
-    if rho >= 0:
-        raise DomainError(f"rho must be negative, got {rho}")
     n = len(s)
     grid = np.unique(np.linspace(max(2, k // 5), k, _ADJ_GRID_POINTS).astype(int))
     grid = grid[grid < n]
     if grid.size < _ADJ_MIN_POINTS:
         raise InsufficientGrid(f"only {grid.size} grid points below k={k}")
     gammas = np.array([hill(s, int(kk)).gamma for kk in grid])
-    u = (grid / n) ** (-rho)
+    u = grid / n
     slope, intercept = np.polyfit(u, gammas, 1)
     resid = gammas - (slope * u + intercept)
     stderr = float(np.sqrt((resid**2).mean() / grid.size))
@@ -226,12 +224,9 @@ def comparison_csv(estimates: list[TailIndexEstimate]) -> str:
     run past the knee into the body; the flag says so rather than capping k.
     """
     n_tail = next((e.k_used for e in estimates if e.method == CNS), None)
-    buf = io.StringIO()
-    buf.write("method,alpha,gamma,threshold,stderr,k_exceeds_tail\n")
-    for e in estimates:
-        alpha = "" if e.alpha is None else f"{e.alpha:.10g}"
-        thresh = f"{e.threshold:.10g}" if e.method == CNS else str(e.k_used)
-        stderr = "" if e.stderr is None else f"{e.stderr:.10g}"
-        over = "" if e.method == CNS or n_tail is None else str(e.k_used > n_tail).lower()
-        buf.write(f"{e.method},{alpha},{e.gamma:.10g},{thresh},{stderr},{over}\n")
-    return buf.getvalue()
+    return csv_table(
+        ("method", "alpha", "gamma", "threshold", "stderr", "k_exceeds_tail"),
+        ((e.method, "" if e.alpha is None else e.alpha, e.gamma,
+          e.threshold if e.method == CNS else e.k_used, "" if e.stderr is None else e.stderr,
+          "" if e.method == CNS or n_tail is None else str(e.k_used > n_tail).lower())
+         for e in estimates))

@@ -35,7 +35,6 @@ scan's, bit for bit.
 """
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import DegenerateTail, DomainError, KindMismatch, SampleTooSmall
 from .powerlaw import PowerLawModel, hurwitz_zeta, ks_distance, ks_gap, pl_ppf
 from .rng import make_rng
-from .sample import CONTINUOUS, Sample
+from .sample import CONTINUOUS, Sample, distinct_runs
 
 __all__ = [
     "TailFit",
@@ -81,7 +80,7 @@ class FitOptions:
     """Knobs for the threshold scan.
 
     min_tail: smallest tail size a candidate threshold may leave.
-    xmin_override: skip the scan and fit above this fixed threshold.
+    xmin_override: skip the scan and fit above this fixed threshold (finite, > 0).
     candidate_cap: max number of distinct-value candidates scanned; when
         there are more, an evenly spaced subset (always including the
         smallest) is used. Samples with fewer distinct values than the cap
@@ -107,6 +106,8 @@ class FitOptions:
             raise DomainError(f"min_tail must be >= 2, got {self.min_tail}")
         if self.ks_allowance is not None and self.ks_allowance < 0:
             raise DomainError("ks_allowance must be >= 0")
+        if self.xmin_override is not None and not 0 < self.xmin_override < math.inf:
+            raise DomainError(f"xmin_override must be finite and > 0, got {self.xmin_override}")
 
     def resolved_allowance(self) -> float:
         if self.ks_allowance is not None:
@@ -142,9 +143,11 @@ def mle_alpha_continuous(tail, xmin: float):
     """Closed-form continuous MLE: alpha = 1 + n / sum(log(x/xmin)).
 
     Returns (alpha, stderr, loglik) with stderr = (alpha-1)/sqrt(n).
-    Raises DegenerateTail when the tail has no spread above xmin.
+    Raises DomainError for xmin <= 0, DegenerateTail for a tail with no spread.
     """
     x = _tail_array(tail)
+    if not xmin > 0:
+        raise DomainError(f"xmin must be > 0, got {xmin}")
     if x[0] < xmin:
         raise DomainError("tail values must be >= xmin")
     n = x.size
@@ -189,14 +192,13 @@ def _mle_discrete(sum_logx, n, xmin) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
+def mle_alpha_discrete(tail, xmin: float):
     """Discrete MLE above integer xmin.
 
-    Exact mode maximizes sum(-alpha*log x) - n*log zeta(alpha, xmin) by
-    golden-section search on alpha in [1.01, 6] and raises DegenerateTail
-    when the optimum lies within the search tolerance of either end;
-    approximate mode uses the continuous closed form with the half-shift
-    xmin - 0.5 (good for xmin >= 6). Returns (alpha, stderr, loglik).
+    Maximizes sum(-alpha*log x) - n*log zeta(alpha, xmin) by golden-section
+    search on alpha in [1.01, 6] and raises DegenerateTail when the optimum
+    lies within the search tolerance of either end. Returns (alpha, stderr,
+    loglik) with stderr = (alpha-1)/sqrt(n).
     """
     x = _tail_array(tail)
     if np.any(x != np.round(x)):
@@ -209,31 +211,26 @@ def mle_alpha_discrete(tail, xmin: float, exact: bool = True):
         raise DegenerateTail("discrete tail has no spread above xmin")
     n = x.size
     sum_logx = float(np.log(x).sum())
-    if exact:
-        alpha = float(_mle_discrete(sum_logx, n, xmin)[0])
-        if not _ALPHA_LO + _ALPHA_TOL < alpha < _ALPHA_HI - _ALPHA_TOL:
-            raise DegenerateTail(f"discrete MLE alpha = {alpha:.8g} is at the edge "
-                                 f"of its search range [{_ALPHA_LO}, {_ALPHA_HI}]")
-    else:
-        shift = xmin - 0.5
-        sum_logs = sum_logx - n * math.log(shift)
-        alpha = 1.0 + n / sum_logs
+    alpha = float(_mle_discrete(sum_logx, n, xmin)[0])
+    if not _ALPHA_LO + _ALPHA_TOL < alpha < _ALPHA_HI - _ALPHA_TOL:
+        raise DegenerateTail(f"discrete MLE alpha = {alpha:.8g} is at the edge "
+                             f"of its search range [{_ALPHA_LO}, {_ALPHA_HI}]")
     loglik = -(alpha * sum_logx + n * math.log(hurwitz_zeta(alpha, xmin)))
     stderr = (alpha - 1.0) / math.sqrt(n)
     return alpha, stderr, loglik
 
 
+def _mle(tail, xmin: float, kind: str):
+    """(alpha, stderr, loglik) of the MLE of `kind` above xmin."""
+    return (mle_alpha_continuous if kind == CONTINUOUS else mle_alpha_discrete)(tail, xmin)
+
+
 # -- threshold selection ------------------------------------------------------
 
 def _distinct_stats(x: np.ndarray):
-    """Distinct values with counts, cumulative counts and log-value prefix data.
-
-    `x` is sorted ascending (as `Sample.values` is), so the distinct values
-    are the ends of its runs of equal values.
-    """
-    last = np.append(x[1:] != x[:-1], True)  # x[i] ends a run
-    dv = x[last]
-    dcum = np.flatnonzero(last) + 1          # observations <= dv[k]
+    """Distinct values with counts, cumulative counts and log-value prefix data
+    of `x`, sorted ascending (as `Sample.values` is)."""
+    dv, dcum = distinct_runs(x)
     dcount = np.diff(dcum, prepend=0)
     dt = np.log(dv)
     wlog = dcount * dt
@@ -380,10 +377,7 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     i = next(i for i in ordered if in_band(i))
     m = int(c.m[i])
     xmin = float(c.dv[c.k0[i]])
-    if opts.kind == CONTINUOUS:
-        alpha, stderr, loglik = mle_alpha_continuous(x[n - m:], xmin)
-    else:
-        alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin, exact=True)
+    alpha, stderr, loglik = _mle(x[n - m:], xmin, opts.kind)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks_of(i),
                    stderr=stderr, loglik=loglik, kind=opts.kind)
 
@@ -393,10 +387,7 @@ def _fit_at(x: np.ndarray, xmin: float, kind: str) -> TailFit:
     tail = x[x >= xmin]
     if tail.size < 2:
         raise SampleTooSmall(f"fewer than 2 observations >= {xmin}")
-    if kind == CONTINUOUS:
-        alpha, stderr, loglik = mle_alpha_continuous(tail, xmin)
-    else:
-        alpha, stderr, loglik = mle_alpha_discrete(tail, xmin, exact=True)
+    alpha, stderr, loglik = _mle(tail, xmin, kind)
     model = PowerLawModel(alpha=alpha, xmin=xmin, kind=kind)
     ks = ks_distance(tail, model)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=int(tail.size), ks=ks,
@@ -481,8 +472,3 @@ def fit_report(fit: TailFit, n: int, gof: GofResult | None = None,
     if seed is not None:
         out["seed"] = seed
     return out
-
-
-def fit_report_json(fit: TailFit, n: int, gof: GofResult | None = None,
-                    seed: int | None = None) -> str:
-    return json.dumps(fit_report(fit, n, gof=gof, seed=seed), indent=2, sort_keys=True)

@@ -29,21 +29,20 @@ every unit would return to the seed forever. A small exploration floor
 exponent within one percent of 2.
 """
 
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fit import FitOptions, TailFit, select_xmin
+from .report import csv_table
 from .rng import make_rng
-from .sample import DISCRETE, make_sample
+from .sample import DISCRETE, empirical_ccdf, make_sample
 
 __all__ = [
     "GrowthConfig",
     "DegreeSequence",
-    "TheoryPrediction",
     "theoretical_alpha",
     "simulate_copy",
     "simulate_ba",
@@ -107,21 +106,6 @@ class DegreeSequence:
         c = np.array(self.counts, dtype=np.int64)  # own copy, then freeze
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-
-
-@dataclass(frozen=True)
-class TheoryPrediction:
-    """Exponent the growth theory predicts for an exploration level."""
-
-    gamma: float
-    alpha_predicted: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha_predicted", theoretical_alpha(self.gamma))
-
-    @property
-    def exponential_regime(self) -> bool:
-        return math.isinf(self.alpha_predicted)
 
 
 def theoretical_alpha(gamma: float) -> float:
@@ -294,8 +278,6 @@ def ccdf_slope(d: DegreeSequence, lo: float = 10.0, hi: float = 500.0) -> float:
     The window avoids small-degree curvature and max-degree noise.
     """
     s = make_sample(d.counts, kind=DISCRETE)
-    from .sample import empirical_ccdf
-
     xs, fr = empirical_ccdf(s)
     w = (xs >= lo) & (xs <= hi)
     if w.sum() < 3:
@@ -312,8 +294,5 @@ def degrees_csv(d: DegreeSequence) -> str:
 
 
 def sweep_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write("gamma,alpha_pred,alpha_mean,alpha_sd,n_runs\n")
-    for g, pred, mean, sd, n_runs in rows:
-        buf.write(f"{g:.10g},{pred:.10g},{mean:.10g},{sd:.10g},{n_runs}\n")
-    return buf.getvalue()
+    """CSV of `gamma_sweep` rows."""
+    return csv_table(("gamma", "alpha_pred", "alpha_mean", "alpha_sd", "n_runs"), rows)

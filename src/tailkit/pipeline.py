@@ -591,6 +591,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     t0 = time.perf_counter()
     if bootstrap > 0:
         check_n_boot(bootstrap)
+    opts = FitOptions(kind=CONTINUOUS, min_tail=min_tail)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -625,7 +626,6 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     write("table2_nsfw_breakdown.json",
           _json([dict(zip(NSFW_COLUMNS, row)) for row in nsfw_rows]))
 
-    opts = FitOptions(kind=CONTINUOUS, min_tail=min_tail)
     skipped = {}
     figures = {}
     figure_inputs = {}  # figure name -> sha256 of the fit report it draws

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, EmptySample
 from .rng import make_rng
-from .sample import CONTINUOUS, DISCRETE, Sample
+from .sample import CONTINUOUS, DISCRETE, Sample, distinct_runs
 
 __all__ = [
     "Convention",
@@ -113,14 +113,9 @@ def pl_ccdf(model: PowerLawModel, x):
     return float(out) if np.ndim(out) == 0 else out
 
 def pl_cdf(model: PowerLawModel, x):
-    """P(X <= x); for the discrete kind this is 1 - P(X >= x+1)."""
+    """P(X <= x); for the discrete kind this is 1 - P(X >= floor(x)+1)."""
     x = _check_x(model, x)
-    if model.kind == CONTINUOUS:
-        out = 1.0 - (x / model.xmin) ** (1.0 - model.alpha)
-    else:
-        z0 = hurwitz_zeta(model.alpha, model.xmin)
-        out = 1.0 - hurwitz_zeta(model.alpha, np.floor(x) + 1.0) / z0
-    return float(out) if np.ndim(out) == 0 else out
+    return 1.0 - pl_ccdf(model, x if model.kind == CONTINUOUS else np.floor(x) + 1.0)
 
 def pl_pdf(model: PowerLawModel, x):
     """Density (continuous) or probability mass (discrete) at x."""
@@ -227,11 +222,10 @@ def ks_distance(tail, model: PowerLawModel) -> float:
         raise EmptySample("KS distance needs a nonempty tail")
     if x[0] < model.xmin:
         raise DomainError("tail values must be >= model.xmin")
-    xs, counts = np.unique(x, return_counts=True)
+    xs, cum_hi = distinct_runs(x)
     n = x.size
-    cum_hi = counts.cumsum()
     F_hi = pl_cdf(model, xs)
     # P(X <= v-1) on integer support
     F_lo = None if model.kind == CONTINUOUS else 1.0 - pl_ccdf(model, xs)
-    gap = ks_gap(F_hi, cum_hi / n, (cum_hi - counts) / n, F_lo)
+    gap = ks_gap(F_hi, cum_hi / n, np.concatenate(([0], cum_hi[:-1])) / n, F_lo)
     return float(gap.max())

@@ -218,9 +218,8 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def render_svg(series_list, width: int = 640, height: int = 480,
-               title: str = "") -> str:
-    """Self-contained SVG for a set of series sharing one axis system.
+def render_svg(series_list, title: str = "") -> str:
+    """Self-contained 640x480 SVG for a set of series sharing one axis system.
 
     Log-scaled axes (with decade ticks) whenever any series is log-log;
     byte-deterministic for identical inputs. Raises RenderError on empty
@@ -255,6 +254,7 @@ def render_svg(series_list, width: int = 640, height: int = 480,
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
+    width, height = 640, 480
     m_left, m_right, m_top, m_bot = 64, 16, 32, 48
     pw, ph = width - m_left - m_right, height - m_top - m_bot
 
@@ -322,7 +322,7 @@ def _escape(text: str) -> str:
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))
 
 
-def save_figures(figures: dict, outdir, width=640, height=480) -> dict:
+def save_figures(figures: dict, outdir) -> dict:
     """Write each figure (name -> series list) as SVG plus per-series CSVs.
 
     Returns a manifest dict listing every artifact with the SHA-256 of its
@@ -332,7 +332,7 @@ def save_figures(figures: dict, outdir, width=640, height=480) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {}
     for name, series_list in sorted(figures.items()):
-        svg = render_svg(series_list, width=width, height=height, title=name)
+        svg = render_svg(series_list, title=name)
         manifest[f"{name}.svg"] = write_artifact(outdir / f"{name}.svg", svg)
         for s in series_list:
             rel = f"{name}_{s.name}.csv"

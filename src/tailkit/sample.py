@@ -1,4 +1,4 @@
-"""Observation containers and the empirical CCDF.
+"""Observation containers, distinct values of sorted data and the empirical CCDF.
 
 A Sample is an immutable, ascending-sorted array of strictly positive
 observations (monthly earnings in USD, attention counts, node degrees).
@@ -72,12 +72,19 @@ def make_sample(values, kind: str = CONTINUOUS) -> Sample:
     return Sample(values=v, kind=kind, n_rejected=rejected)
 
 
+def distinct_runs(x: np.ndarray):
+    """(dv, dcum) of ascending `x`: its distinct values, the ends of its runs
+    of equal values, and dcum[k], the number of observations <= dv[k]. Unlike
+    `np.unique`, this does not sort again."""
+    last = np.append(x[1:] != x[:-1], True)  # x[i] ends a run
+    return x[last], np.flatnonzero(last) + 1
+
+
 def empirical_ccdf(s: Sample):
     """Empirical complementary CDF, one point per distinct value.
 
     Returns (xs, fracs) where fracs[i] = (# observations >= xs[i]) / n.
     The first fraction is always 1 and fractions are non-increasing.
     """
-    xs, counts = np.unique(s.values, return_counts=True)
-    n_ge = counts[::-1].cumsum()[::-1]
-    return xs, n_ge / len(s)
+    xs, dcum = distinct_runs(s.values)
+    return xs, (len(s) - np.concatenate(([0], dcum[:-1]))) / len(s)

@@ -183,7 +183,7 @@ def select_xmin_exhaustive(s, opts=None):
     if opts.kind == CONTINUOUS:
         alpha, stderr, loglik = mle_alpha_continuous(x[n - m:], xmin)
     else:
-        alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin, exact=True)
+        alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
                    stderr=stderr, loglik=loglik, kind=opts.kind)
 

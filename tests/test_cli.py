@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailkit import cli
+from tailkit import cli, errors
 from tailkit.cli import _read_column, main
 from tailkit.errors import SchemaError
 from tailkit.fixtures import write_fixture
@@ -51,6 +51,14 @@ def test_fit_xmin_override(pareto_file, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["xmin"] == 2.0
+
+
+@pytest.mark.parametrize("xmin", ["0", "-1", "nan", "inf"])
+def test_fit_xmin_outside_its_domain_exit_code(pareto_file, xmin, capsys):
+    code, out, err = run_cli(capsys, "fit", str(pareto_file), f"--xmin={xmin}")
+    assert code == 2
+    assert out == ""
+    assert "error: xmin_override must be finite and > 0" in err
 
 
 def test_fit_missing_file_is_io_error(capsys):
@@ -286,6 +294,46 @@ def test_pipeline_rejects_small_bootstrap_before_writing(fixture_csv, tmp_path, 
     assert code == 2
     assert "n_boot must be >= 100, got 20" in err
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+def test_pipeline_rejects_small_min_tail_before_writing(fixture_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(out),
+                           "--min-tail", "1")
+    assert code == 2
+    assert "min_tail must be >= 2, got 1" in err
+    assert not out.exists()
+
+
+def test_workers_variable_must_be_an_integer(pareto_file, monkeypatch, capsys):
+    monkeypatch.setenv("TAILKIT_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "fit", str(pareto_file), "--bootstrap", "100")
+    assert code == 2
+    assert out == ""
+    assert "error: TAILKIT_WORKERS must be an integer, got 'abc'" in err
+
+
+# the documented exit code of every error class: 1 I/O, 2 schema or
+# configuration, 3 sample too small, 4 degenerate data
+DOCUMENTED_EXIT_CODES = {
+    "OSError": 1, "TailkitError": 2, "DomainError": 2, "SchemaError": 2,
+    "KindMismatch": 2, "SingularDesign": 2, "RenderError": 2, "InsufficientGrid": 2,
+    "SampleTooSmall": 3, "EmptySample": 3, "DegenerateTail": 4,
+}
+
+
+def test_every_error_class_maps_to_its_documented_exit_code(monkeypatch, capsys):
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.TailkitError)]
+    assert {cls.__name__ for cls in classes} == set(DOCUMENTED_EXIT_CODES) - {"OSError"}
+    for cls in [*classes, FileNotFoundError, OSError]:
+        def fail(args, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+        monkeypatch.setattr(cli, "cmd_compare", fail)
+        code, out, err = run_cli(capsys, "compare", "x.csv")
+        name = "OSError" if issubclass(cls, OSError) else cls.__name__
+        assert (code, out, err) == (DOCUMENTED_EXIT_CODES[name], "",
+                                    f"error: raised {cls.__name__}\n"), cls
 
 
 def test_pipeline_manifest_lists_rejected_rows_log(fixture_csv, tmp_path, capsys):

@@ -11,7 +11,6 @@ from tailkit.growth import (
     COPY,
     DegreeSequence,
     GrowthConfig,
-    TheoryPrediction,
     ccdf_slope,
     degrees_csv,
     gamma_sweep,
@@ -43,8 +42,6 @@ def test_theoretical_alpha_monotone_increasing():
 
 def test_theoretical_alpha_exponential_regime():
     assert math.isinf(theoretical_alpha(1.0))
-    assert TheoryPrediction(gamma=1.0).exponential_regime
-    assert not TheoryPrediction(gamma=0.3).exponential_regime
 
 
 def test_theoretical_alpha_domain():

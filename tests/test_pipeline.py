@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from tailkit import pipeline
 from tailkit.errors import SampleTooSmall, SchemaError
@@ -460,7 +460,9 @@ def assert_same_samples(got, want):
         assert np.array_equal(got[key].values, want[key].values), key
 
 
-@settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow])
+# no shrink phase: shrinking a failing example of 60-150 rows took minutes
+@settings(deadline=None, max_examples=80, suppress_health_check=[HealthCheck.too_slow],
+          phases=[p for p in Phase if p is not Phase.shrink])
 @given(text=csv_rows(), block=st.sampled_from([7, 64, pipeline._BLOCK]))
 def test_columnar_stages_match_the_row_oracle(tmp_path_factory, text, block):
     p = tmp_path_factory.mktemp("prop") / "rows.csv"
