@@ -15,17 +15,24 @@ KS distance is the maximum of the pointwise gap `powerlaw.ks_gap` over its
 distinct tail, and that full pass is made only for candidates that can
 still matter:
 
-1. Lower bound: the gap maximized over every 64th distinct point of a tail
-   (starting at its threshold) cannot exceed the maximum over all of them.
-   These bounds are computed for all candidates at once, in chunks of at
-   most max(N/8, 2^14) points for N distinct values.
-2. Exact minimum: exact distances are computed in ascending order of the
-   bounds until the next bound exceeds the best exact distance so far.
-   Every remaining candidate's distance is at least its bound, so the best
-   is the global minimum `ks_min`.
-3. Selection: the rule walks the candidates in its order and computes the
-   exact distance of each one whose bound does not already put it outside
-   `ks_min + allowance/sqrt(n_tail)`; the first inside the band wins.
+1. Coarse bounds: the gap maximized over every s-th distinct point of a
+   tail (starting at its threshold) cannot exceed the maximum over all of
+   them. Each candidate starts at s = ceil(L/16) for its L distinct tail
+   points, so about 16 points each; the bounds of many candidates are
+   computed at once, in chunks of at most max(N/8, 2^14) points for N
+   distinct values. A refinement divides a candidate's stride by 4 and
+   keeps the larger of its old and new bound; at stride 1 it makes the
+   exact pass instead.
+2. Exact minimum: take the exact distance of the open candidate with the
+   smallest bound, lower `ks_min` to the smallest exact distance so far,
+   and refine every other open candidate whose bound is still at most
+   `ks_min`. A candidate stays open while it has no exact distance and its
+   bound is at most `ks_min`. When none is open, every distance not yet
+   computed exceeds `ks_min`, so it is the global minimum.
+3. Selection: the rule walks the candidates in its order. A candidate whose
+   bound lies inside its band `ks_min + allowance/sqrt(n_tail)` is refined
+   until the bound leaves the band or the distance is exact; only an exact
+   distance inside the band wins.
 
 A bound comes from the same formulas as the exact pass, but the gathered
 evaluation may differ from the contiguous one in the last bit, so both
@@ -34,7 +41,6 @@ keep is pruned, and the chosen fit and its KS value are the exhaustive
 scan's, bit for bit.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -248,7 +254,8 @@ def _candidate_indices(dv, dcum, n, min_tail, cap):
     return cand
 
 
-_LB_STRIDE = 64         # a lower bound looks at every 64th distinct tail point
+_LB_POINTS = 16         # a coarse bound gathers about 16 points of each distinct tail
+_LB_REFINE = 4          # a refinement divides a candidate's stride by 4
 _LB_CHUNK_MIN = 1 << 14  # smallest chunk of gathered points, bounding loop overhead
 _LB_MARGIN = 1e-12      # absorbs last-bit differences between bound and exact pass
 
@@ -306,27 +313,29 @@ class _Candidates:
         """KS distance of candidate i: the gap maximized over its whole tail."""
         return float(self.gaps(slice(self.k0[i], None), i).max())
 
-    def lower_bounds(self) -> np.ndarray:
-        """Per-candidate gap maximum over tail points k0, k0 + 64, ...
+    def bounds(self, idx: np.ndarray, stride: np.ndarray) -> np.ndarray:
+        """Per candidate idx[j], the gap maximum over its tail points k0,
+        k0 + stride[j], k0 + 2 stride[j], ...: a lower bound on its KS distance.
 
         Candidates are taken in chunks whose gathered points number at most
         max(N/8, 2^14) for N distinct values, or one candidate's points.
         """
         n_dist = self.dv.size
-        npts = (n_dist - self.k0 + _LB_STRIDE - 1) // _LB_STRIDE
+        k0 = self.k0[idx]
+        npts = (n_dist - k0 + stride - 1) // stride
         ends = npts.cumsum()
         budget = max(n_dist // 8, _LB_CHUNK_MIN)
-        lb = np.empty(self.k0.size)
+        lb = np.empty(idx.size)
         lo = 0
-        while lo < self.k0.size:
+        while lo < idx.size:
             base = ends[lo] - npts[lo]
             hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
             counts = npts[lo:hi]
             starts = ends[lo:hi] - counts - base
             rows = np.repeat(np.arange(lo, hi), counts)
             step = np.arange(rows.size) - np.repeat(starts, counts)
-            pts = self.k0[rows] + _LB_STRIDE * step
-            lb[lo:hi] = np.maximum.reduceat(self.gaps(pts, rows), starts)
+            pts = k0[rows] + stride[rows] * step
+            lb[lo:hi] = np.maximum.reduceat(self.gaps(pts, idx[rows]), starts)
             lo = hi
         return lb
 
@@ -341,13 +350,16 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     ties break the same way. With `opts.xmin_override` the scan is skipped
     entirely.
 
-    The scan runs in three phases (see the module docstring): strided lower
-    bounds on every candidate's KS distance, exact distances in ascending
-    bound order until no remaining bound can beat the best (`ks_min`), and
-    the rule's walk, which skips candidates whose bound exceeds their band
-    `ks_min + allowance/sqrt(n_tail)`. Since a bound never exceeds its
-    candidate's distance (up to a 1e-12 margin), the result equals that of
-    computing every candidate's distance, bit for bit.
+    The scan runs in three phases (see the module docstring): a coarse lower
+    bound on every candidate's KS distance from about 16 points of its
+    distinct tail; exact distances taken in ascending bound order while the
+    bounds of the other open candidates are refined (stride / 4, exact at
+    stride 1) until no bound can beat the best (`ks_min`); and the rule's
+    walk, which refines a candidate only while its bound lies inside its band
+    `ks_min + allowance/sqrt(n_tail)` and lets only an exact distance win.
+    Since a bound never exceeds its candidate's distance (up to a 1e-12
+    margin), the result equals that of computing every candidate's distance,
+    bit for bit.
     """
     opts = opts or FitOptions()
     x = s.values
@@ -359,26 +371,39 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
         return _fit_at(x, float(opts.xmin_override), opts.kind)
 
     c = _Candidates(x, opts)
-    lb = c.lower_bounds()
-    ks_of = functools.cache(c.exact_ks)
-    ks_min = math.inf
-    for i in np.argsort(lb, kind="stable"):
-        if lb[i] > ks_min + _LB_MARGIN:
+    stride = -(-(c.dv.size - c.k0) // _LB_POINTS)
+    lb = c.bounds(np.arange(c.k0.size), stride)
+    ks = np.full(c.k0.size, math.nan)  # exact distances computed so far
+
+    def refine(idx):
+        # stride / 4 for candidates idx; one that reaches 1 gets its exact pass
+        stride[idx] = np.maximum(stride[idx] // _LB_REFINE, 1)
+        for i in idx[stride[idx] == 1]:
+            ks[i] = c.exact_ks(i)
+        idx = idx[stride[idx] > 1]
+        # the finer grid need not hold the coarser one's points; both bounds hold
+        lb[idx] = np.maximum(lb[idx], c.bounds(idx, stride[idx]))
+
+    contenders = np.arange(c.k0.size)
+    while contenders.size:
+        j = contenders[np.argmin(lb[contenders])]
+        ks[j] = c.exact_ks(j)
+        refine(contenders[(contenders != j) & (lb[contenders] <= np.nanmin(ks) + _LB_MARGIN)])
+        ks_min = float(np.nanmin(ks))  # a refinement to stride 1 may lower it
+        contenders = contenders[np.isnan(ks[contenders]) & (lb[contenders] <= ks_min + _LB_MARGIN)]
+
+    band = ks_min + opts.resolved_allowance() / np.sqrt(c.m)
+    # bounds only rise, so a candidate left out here never enters its band
+    walk = np.flatnonzero((lb <= band + _LB_MARGIN) | (ks <= band))
+    for i in walk if opts.kind == CONTINUOUS else walk[::-1]:
+        while np.isnan(ks[i]) and lb[i] <= band[i] + _LB_MARGIN:
+            refine(np.array([i]))
+        if ks[i] <= band[i]:  # False while ks[i] is unknown (nan)
             break
-        ks_min = min(ks_min, ks_of(int(i)))
-
-    allowance = opts.resolved_allowance()
-    ordered = range(c.k0.size) if opts.kind == CONTINUOUS else range(c.k0.size - 1, -1, -1)
-
-    def in_band(i):
-        band = ks_min + allowance / math.sqrt(c.m[i])
-        return lb[i] <= band + _LB_MARGIN and ks_of(i) <= band
-
-    i = next(i for i in ordered if in_band(i))
     m = int(c.m[i])
     xmin = float(c.dv[c.k0[i]])
     alpha, stderr, loglik = _mle(x[n - m:], xmin, opts.kind)
-    return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks_of(i),
+    return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=float(ks[i]),
                    stderr=stderr, loglik=loglik, kind=opts.kind)
 
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import DegenerateTail, SampleTooSmall, SchemaError, SingularDesign
+from .errors import DegenerateTail, DomainError, SampleTooSmall, SchemaError, SingularDesign
 from .fit import (FitOptions, check_n_boot, fit_report, gof_pvalue,
                   power_law_proportion, select_xmin)
 from .report import (
@@ -591,6 +591,8 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     t0 = time.perf_counter()
     if bootstrap > 0:
         check_n_boot(bootstrap)
+    if not math.isfinite(floor):
+        raise DomainError(f"floor must be a finite number, got {floor}")
     opts = FitOptions(kind=CONTINUOUS, min_tail=min_tail)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -305,6 +305,17 @@ def test_pipeline_rejects_small_min_tail_before_writing(fixture_csv, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+def test_pipeline_rejects_a_floor_that_is_not_finite(floor, tmp_path, capsys):
+    bundled = Path(__file__).resolve().parent.parent / "data" / "earnings_fixture.csv"
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(bundled), "--out", str(out),
+                           f"--floor={floor}")
+    assert code == 2
+    assert f"floor must be a finite number, got {float(floor)}" in err
+    assert not out.exists()
+
+
 def test_workers_variable_must_be_an_integer(pareto_file, monkeypatch, capsys):
     monkeypatch.setenv("TAILKIT_WORKERS", "abc")
     code, out, err = run_cli(capsys, "fit", str(pareto_file), "--bootstrap", "100")

@@ -12,6 +12,8 @@ from tailkit.errors import (
 )
 from tailkit.fit import (
     _LB_MARGIN,
+    _LB_POINTS,
+    _LB_REFINE,
     FitOptions,
     _Candidates,
     _candidate_indices,
@@ -274,14 +276,48 @@ def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
     assert select_xmin(s, opts) == select_xmin_exhaustive(s, opts)
 
 
-@pytest.mark.parametrize("gen", ["pareto", "lognormal", "tied", "discrete"])
-def test_lower_bounds_never_exceed_exact_ks(gen):
-    for seed in range(5):
-        s = _scan_input(gen, 3000, 700 + seed)
-        c = _Candidates(s.values, FitOptions(kind=s.kind, candidate_cap=None))
-        lb = c.lower_bounds()
-        exact = np.array([c.exact_ks(i) for i in range(c.k0.size)])
-        assert np.all(lb <= exact + _LB_MARGIN)
+@settings(deadline=None, max_examples=60)
+@given(gen=st.sampled_from(["pareto", "lognormal", "tied", "discrete"]),
+       n=st.integers(60, 3000),
+       seed=st.integers(0, 2**32 - 1),
+       cap=st.sampled_from([None, 64]))
+def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap):
+    # every stride the scan can reach: ceil(L/16), then / 4 down to 1
+    s = _scan_input(gen, n, seed)
+    try:
+        c = _Candidates(s.values, FitOptions(kind=s.kind, min_tail=2, candidate_cap=cap))
+    except (SampleTooSmall, DegenerateTail):
+        return
+    idx = np.arange(c.k0.size)
+    exact = np.array([c.exact_ks(i) for i in idx])
+    stride = -(-(c.dv.size - c.k0) // _LB_POINTS)
+    while True:
+        assert np.all(c.bounds(idx, stride) <= exact + _LB_MARGIN)
+        if np.all(stride == 1):
+            break
+        stride = np.maximum(stride // _LB_REFINE, 1)
+
+
+@pytest.mark.parametrize("gen", ["lognormal", "pareto"])
+@pytest.mark.parametrize("n", [200, 500, 1000])
+def test_small_scans_make_few_exact_passes(gen, n, monkeypatch):
+    # a tail shorter than the coarse grid still gets a multi-point bound
+    exact_ks = _Candidates.exact_ks
+    for seed in range(10):
+        rng = make_rng(seed)
+        x = rng.lognormal(0.0, 1.5, n) if gen == "lognormal" else rng.pareto(1.5, n) + 1.0
+        s = make_sample(x)
+        calls = []
+
+        def counting(self, i):
+            calls.append(i)
+            return exact_ks(self, i)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_Candidates, "exact_ks", counting)
+            fit = select_xmin(s)
+        assert len(calls) <= 80, f"seed {seed}"
+        assert fit == select_xmin_exhaustive(s)
 
 
 def test_fit_recovery_within_3_stderr():
