@@ -298,6 +298,19 @@ def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap)
         stride = np.maximum(stride // _LB_REFINE, 1)
 
 
+@pytest.mark.parametrize("gen", ["pareto", "lognormal", "tied", "discrete"])
+def test_lower_bounds_never_exceed_exact_ks(gen):
+    # fixed samples, every candidate: the scan's coarse bound and the stride-1 bound
+    for seed in range(5):
+        s = _scan_input(gen, 3000, 700 + seed)
+        c = _Candidates(s.values, FitOptions(kind=s.kind, candidate_cap=None))
+        idx = np.arange(c.k0.size)
+        exact = np.array([c.exact_ks(i) for i in idx])
+        coarse = -(-(c.dv.size - c.k0) // _LB_POINTS)
+        assert np.all(c.bounds(idx, coarse) <= exact + _LB_MARGIN)
+        assert np.all(c.bounds(idx, np.ones_like(coarse)) <= exact + _LB_MARGIN)
+
+
 @pytest.mark.parametrize("gen", ["lognormal", "pareto"])
 @pytest.mark.parametrize("n", [200, 500, 1000])
 def test_small_scans_make_few_exact_passes(gen, n, monkeypatch):
