@@ -108,8 +108,7 @@ def _is_number(text: str) -> bool:
 def cmd_fit(args) -> int:
     values = _read_column(args.input)
     sample = make_sample(values, kind=args.kind)
-    opts = FitOptions(kind=args.kind, min_tail=args.min_tail,
-                      xmin_override=args.xmin)
+    opts = FitOptions(min_tail=args.min_tail, xmin_override=args.xmin)
     fit = select_xmin(sample, opts)
     gof = None
     if args.bootstrap > 0:
@@ -123,13 +122,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.model == COPY:
-        cfg = GrowthConfig(model=COPY, n_nodes=args.nodes, gamma=args.gamma,
-                           seed=args.seed)
-        run = simulate_copy(cfg)
-    else:
-        cfg = GrowthConfig(model=BA, n_nodes=args.nodes, m=args.m, seed=args.seed)
-        run = simulate_ba(cfg)
+    if args.model == COPY and args.m is not None:
+        raise DomainError("--m applies only to --model ba")
+    if args.model == BA and args.gamma is not None:
+        raise DomainError("--gamma applies only to --model copy")
+    knobs = {k: v for k, v in (("gamma", args.gamma), ("m", args.m)) if v is not None}
+    cfg = GrowthConfig(model=args.model, n_nodes=args.nodes, seed=args.seed, **knobs)
+    run = simulate_copy(cfg) if args.model == COPY else simulate_ba(cfg)
     Path(args.out).write_text(degrees_csv(run), encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     summary = {
@@ -141,10 +140,10 @@ def cmd_simulate(args) -> int:
         "out": args.out,
     }
     if args.model == COPY:
-        summary["gamma"] = args.gamma
-        summary["alpha_predicted"] = theoretical_alpha(args.gamma)
+        summary["gamma"] = cfg.gamma
+        summary["alpha_predicted"] = theoretical_alpha(cfg.gamma)
     else:
-        summary["m"] = args.m
+        summary["m"] = cfg.m
     if args.fit:
         fit = measure_exponent(run)
         summary["fit"] = fit_report(fit, n=int(run.counts.size))
@@ -158,7 +157,7 @@ def cmd_compare(args) -> int:
     if sample.n_rejected:
         print(f"rejected {sample.n_rejected} non-finite or non-positive values",
               file=sys.stderr)
-    if sample.kind == DISCRETE or np.array_equal(sample.values, np.floor(sample.values)):
+    if np.array_equal(sample.values, np.floor(sample.values)):
         print("integer-valued sample: hill, adjusted_hill and moments assume continuous "
               "data, and ties bias them", file=sys.stderr)
     estimates = estimator_comparison(sample, seed=args.seed)
@@ -205,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a growth model")
     p_sim.add_argument("--model", choices=[COPY, BA], required=True)
     p_sim.add_argument("--nodes", type=int, required=True)
-    p_sim.add_argument("--gamma", type=float, default=0.0)
-    p_sim.add_argument("--m", type=int, default=1)
+    p_sim.add_argument("--gamma", type=float, default=None,
+                       help="copy model: exploration probability (default 0.0)")
+    p_sim.add_argument("--m", type=int, default=None,
+                       help="ba model: edges per new node (default 1)")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--out", default="degrees.csv")
     p_sim.add_argument("--fit", action="store_true",

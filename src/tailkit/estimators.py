@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTail, DomainError, InsufficientGrid, SampleTooSmall
-from .fit import FitOptions, select_xmin
+from .fit import select_xmin
 from .report import csv_table
 from .rng import make_rng
 from .sample import Sample
@@ -205,7 +205,7 @@ def estimator_comparison(s: Sample, seed: int) -> list[TailIndexEstimate]:
     three order-statistics estimators at the double-bootstrap k*."""
     if len(s) < 500:
         raise SampleTooSmall(f"comparison needs n >= 500, got {len(s)}")
-    fit = select_xmin(s, FitOptions(kind=s.kind))
+    fit = select_xmin(s)
     cns = TailIndexEstimate(
         method=CNS, gamma=1.0 / (fit.alpha - 1.0), alpha=fit.alpha,
         k_used=fit.n_tail, threshold=fit.xmin, stderr=fit.stderr)

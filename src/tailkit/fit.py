@@ -43,6 +43,7 @@ scan's, bit for bit.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class TailFit:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the threshold scan.
+    """Knobs for the threshold scan; the sample's kind picks the model.
 
     min_tail: smallest tail size a candidate threshold may leave.
     xmin_override: skip the scan and fit above this fixed threshold (finite, > 0).
@@ -97,11 +98,11 @@ class FitOptions:
         largest tail statistically indistinguishable from the best score);
         integer-count scans keep the largest (small counts carry mechanical
         finite-size curvature, so the deepest indistinguishable tail is the
-        one the model is meant for). None picks the per-kind default
-        (0.2 continuous, 0.35 discrete); 0 gives the plain minimizer.
+        one the model is meant for). None picks the default for the
+        sample's kind (0.2 continuous, 0.35 discrete); 0 gives the plain
+        minimizer.
     """
 
-    kind: str = CONTINUOUS
     min_tail: int = 50
     xmin_override: float | None = None
     candidate_cap: int | None = 512
@@ -115,10 +116,11 @@ class FitOptions:
         if self.xmin_override is not None and not 0 < self.xmin_override < math.inf:
             raise DomainError(f"xmin_override must be finite and > 0, got {self.xmin_override}")
 
-    def resolved_allowance(self) -> float:
+    def resolved_allowance(self, kind: str) -> float:
+        """ks_allowance, or the default for a sample of `kind`."""
         if self.ks_allowance is not None:
             return self.ks_allowance
-        return 0.2 if self.kind == CONTINUOUS else 0.35
+        return 0.2 if kind == CONTINUOUS else 0.35
 
 
 @dataclass(frozen=True)
@@ -269,10 +271,10 @@ class _Candidates:
     Candidates are in ascending threshold order.
     """
 
-    def __init__(self, x: np.ndarray, opts: FitOptions):
-        n = x.size
-        self.kind = opts.kind
-        self.dv, self.dcount, self.dcum, self.dt, wsuffix = _distinct_stats(x)
+    def __init__(self, s: Sample, opts: FitOptions):
+        n = len(s)
+        self.kind = s.kind
+        self.dv, self.dcount, self.dcum, self.dt, wsuffix = _distinct_stats(s.values)
         cand = _candidate_indices(self.dv, self.dcum, n, opts.min_tail, opts.candidate_cap)
         if cand.size == 0:
             raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
@@ -343,12 +345,13 @@ class _Candidates:
 def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     """Pick the threshold whose MLE fit minimizes the KS distance.
 
-    Candidates are distinct sample values keeping at least `opts.min_tail`
-    observations. Among candidates within `ks_allowance/sqrt(n_tail)` of the
-    minimal distance, the continuous rule keeps the smallest threshold and
-    the integer-count rule the largest (see FitOptions.ks_allowance); exact
-    ties break the same way. With `opts.xmin_override` the scan is skipped
-    entirely.
+    The fit uses the model of `s.kind`: the continuous power law, or the
+    discrete (Hurwitz-zeta) one for integer counts. Candidates are distinct
+    sample values keeping at least `opts.min_tail` observations. Among
+    candidates within `ks_allowance/sqrt(n_tail)` of the minimal distance,
+    the continuous rule keeps the smallest threshold and the discrete rule
+    the largest (see FitOptions.ks_allowance); exact ties break the same
+    way. With `opts.xmin_override` the scan is skipped entirely.
 
     The scan runs in three phases (see the module docstring): a coarse lower
     bound on every candidate's KS distance from about 16 points of its
@@ -368,9 +371,9 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
         raise SampleTooSmall(f"need >= {opts.min_tail} observations, got {n}")
 
     if opts.xmin_override is not None:
-        return _fit_at(x, float(opts.xmin_override), opts.kind)
+        return _fit_at(s, float(opts.xmin_override))
 
-    c = _Candidates(x, opts)
+    c = _Candidates(s, opts)
     stride = -(-(c.dv.size - c.k0) // _LB_POINTS)
     lb = c.bounds(np.arange(c.k0.size), stride)
     ks = np.full(c.k0.size, math.nan)  # exact distances computed so far
@@ -392,45 +395,43 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
         ks_min = float(np.nanmin(ks))  # a refinement to stride 1 may lower it
         contenders = contenders[np.isnan(ks[contenders]) & (lb[contenders] <= ks_min + _LB_MARGIN)]
 
-    band = ks_min + opts.resolved_allowance() / np.sqrt(c.m)
+    band = ks_min + opts.resolved_allowance(s.kind) / np.sqrt(c.m)
     # bounds only rise, so a candidate left out here never enters its band
     walk = np.flatnonzero((lb <= band + _LB_MARGIN) | (ks <= band))
-    for i in walk if opts.kind == CONTINUOUS else walk[::-1]:
+    for i in walk if s.kind == CONTINUOUS else walk[::-1]:
         while np.isnan(ks[i]) and lb[i] <= band[i] + _LB_MARGIN:
             refine(np.array([i]))
         if ks[i] <= band[i]:  # False while ks[i] is unknown (nan)
             break
     m = int(c.m[i])
     xmin = float(c.dv[c.k0[i]])
-    alpha, stderr, loglik = _mle(x[n - m:], xmin, opts.kind)
+    alpha, stderr, loglik = _mle(x[n - m:], xmin, s.kind)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=float(ks[i]),
-                   stderr=stderr, loglik=loglik, kind=opts.kind)
+                   stderr=stderr, loglik=loglik, kind=s.kind)
 
 
-def _fit_at(x: np.ndarray, xmin: float, kind: str) -> TailFit:
+def _fit_at(s: Sample, xmin: float) -> TailFit:
     """Fit above a fixed threshold (no scan)."""
-    tail = x[x >= xmin]
+    tail = s.values[s.values >= xmin]
     if tail.size < 2:
         raise SampleTooSmall(f"fewer than 2 observations >= {xmin}")
-    alpha, stderr, loglik = _mle(tail, xmin, kind)
-    model = PowerLawModel(alpha=alpha, xmin=xmin, kind=kind)
+    alpha, stderr, loglik = _mle(tail, xmin, s.kind)
+    model = PowerLawModel(alpha=alpha, xmin=xmin, kind=s.kind)
     ks = ks_distance(tail, model)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=int(tail.size), ks=ks,
-                   stderr=stderr, loglik=loglik, kind=kind)
+                   stderr=stderr, loglik=loglik, kind=s.kind)
 
 
 # -- goodness of fit ----------------------------------------------------------
 
-def _one_replicate(args):
-    values, kind, xmin, alpha, p_tail, opts, seed, idx = args
+def _one_replicate(s: Sample, fit: TailFit, opts: FitOptions, seed: int, idx: int):
     rng = make_rng(seed, idx)
-    n = values.size
-    body = values[values < xmin]
-    k = int(rng.binomial(n, p_tail)) if body.size else n
-    model = PowerLawModel(alpha=alpha, xmin=xmin, kind=kind)
-    tail_draws = pl_ppf(model, rng.random(k)) if k else np.empty(0)
+    n = len(s)
+    body = s.values[s.values < fit.xmin]
+    k = int(rng.binomial(n, fit.n_tail / n)) if body.size else n
+    tail_draws = pl_ppf(fit.model(), rng.random(k)) if k else np.empty(0)
     body_draws = rng.choice(body, size=n - k, replace=True) if n - k else np.empty(0)
-    rep = Sample(values=np.concatenate([tail_draws, body_draws]), kind=kind)
+    rep = Sample(values=np.concatenate([tail_draws, body_draws]), kind=s.kind)
     try:
         return select_xmin(rep, opts).ks
     except (SampleTooSmall, DegenerateTail):
@@ -453,19 +454,21 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
     is the exact fraction with KS distance >= the observed one; a replicate
     whose refit raises counts as >= and is reported in `n_failed`. Replicate
     streams derive from (seed, index), so results do not depend on `workers`.
+    Raises KindMismatch, before any replicate is drawn, when the fit's kind
+    is not the sample's.
     """
     check_n_boot(n_boot)
-    opts = opts or FitOptions(kind=fit.kind)
-    p_tail = fit.n_tail / len(s)
-    args = [(s.values, fit.kind, fit.xmin, fit.alpha, p_tail, opts, seed, i)
-            for i in range(n_boot)]
+    if fit.kind != s.kind:
+        raise KindMismatch(f"a {fit.kind} fit cannot be tested on a {s.kind} sample")
+    replicate = partial(_one_replicate, s, fit, opts or FitOptions(), seed)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, rarely needed
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            ks_reps = list(pool.map(_one_replicate, args, chunksize=max(1, n_boot // (8 * workers))))
+            ks_reps = list(pool.map(replicate, range(n_boot),
+                                    chunksize=max(1, n_boot // (8 * workers))))
     else:
-        ks_reps = [_one_replicate(a) for a in args]
+        ks_reps = [replicate(i) for i in range(n_boot)]
     n_failed = ks_reps.count(None)
     n_ge = n_failed + sum(1 for d in ks_reps if d is not None and d >= fit.ks)
     return GofResult(p_value=n_ge / n_boot, n_boot=n_boot, observed_ks=fit.ks,

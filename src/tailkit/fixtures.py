@@ -8,6 +8,7 @@ earnings missing more often for larger earners.
 """
 
 import csv
+import math
 
 from .rng import make_rng
 
@@ -65,7 +66,7 @@ def generate_rows(n_rows: int, seed: int):
             ccdf_exp = cfg["alpha"] - 1.0
             earnings = cfg["median"] * (1.0 - rng.random()) ** (-1.0 / ccdf_exp)
         else:
-            earnings = float(rng.lognormal(_ln(cfg["median"]), 0.8))
+            earnings = float(rng.lognormal(math.log(cfg["median"]), 0.8))
         earnings = round(max(earnings, 1.0), 2)
 
         # membership counts roughly linear in earnings (so the linear
@@ -87,12 +88,6 @@ def generate_rows(n_rows: int, seed: int):
             "paid_members": paid,
             "earnings": "" if missing else f"{earnings:.2f}",
         }
-
-
-def _ln(x):
-    import math
-
-    return math.log(x)
 
 
 def write_fixture(path, n_rows: int = 6000, seed: int = 20240301) -> int:

@@ -99,7 +99,6 @@ class DegreeSequence:
     """Per-node attention (copy) or degree (ba) counts for one run."""
 
     counts: np.ndarray
-    config: GrowthConfig
     steps: int  # attention events (copy) or total edges (ba)
 
     def __post_init__(self):
@@ -173,7 +172,7 @@ def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     # steps[r] is now where step r explores to: int(u * (r + 1))
     counts = np.bincount(steps[_roots(ptr)[1:]], minlength=n)
     counts += 1                             # each creator's arrival unit
-    return DegreeSequence(counts=counts, config=cfg, steps=n - 1)
+    return DegreeSequence(counts=counts, steps=n - 1)
 
 
 def simulate_ba(cfg: GrowthConfig) -> DegreeSequence:
@@ -236,16 +235,12 @@ def simulate_ba(cfg: GrowthConfig) -> DegreeSequence:
                 targets.append(t)
         urn[ulen:ulen + 2 * m:2] = targets
         v += 1
-    return DegreeSequence(counts=np.bincount(urn, minlength=n), config=cfg, steps=n_edges)
+    return DegreeSequence(counts=np.bincount(urn, minlength=n), steps=n_edges)
 
 
 def measure_exponent(d: DegreeSequence, opts: FitOptions | None = None) -> TailFit:
     """Discrete tail fit of the positive counts of a run."""
-    opts = opts or FitOptions(kind=DISCRETE)
-    if opts.kind != DISCRETE:
-        raise DomainError("degree data is discrete; opts.kind must agree")
-    s = make_sample(d.counts, kind=DISCRETE)
-    return select_xmin(s, opts)
+    return select_xmin(make_sample(d.counts, kind=DISCRETE), opts)
 
 
 def gamma_sweep(gammas, n_nodes: int, seeds_per_gamma: int, seed: int):

@@ -593,7 +593,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         check_n_boot(bootstrap)
     if not math.isfinite(floor):
         raise DomainError(f"floor must be a finite number, got {floor}")
-    opts = FitOptions(kind=CONTINUOUS, min_tail=min_tail)
+    opts = FitOptions(min_tail=min_tail)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}

@@ -168,21 +168,16 @@ def csv_table(columns, rows) -> str:
     """CSV text: a header of `columns`, then one line per row, with floats
     written as `.10g` and every other value as `str`."""
     return ",".join(columns) + "\n" + "".join(
-        ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        ",".join([f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]) + "\n"
         for row in rows)
 
 
 def series_csv(series: PlotSeries) -> str:
-    buf = io.StringIO()
+    """The points of `series` as CSV (x, y, and label when it has labels)."""
     if series.labels:
-        buf.write("x,y,label\n")
-        for (x, y), lab in zip(series.points, series.labels):
-            buf.write(f"{x:.10g},{y:.10g},{lab}\n")
-    else:
-        buf.write("x,y\n")
-        for x, y in series.points:
-            buf.write(f"{x:.10g},{y:.10g}\n")
-    return buf.getvalue()
+        return csv_table(("x", "y", "label"),
+                         (p + (lab,) for p, lab in zip(series.points, series.labels)))
+    return csv_table(("x", "y"), series.points)
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")

@@ -1,14 +1,15 @@
 """Observation containers, distinct values of sorted data and the empirical CCDF.
 
 A Sample is an immutable, ascending-sorted array of strictly positive
-observations (monthly earnings in USD, attention counts, node degrees).
+observations (monthly earnings in USD, attention counts, node degrees). Its
+kind is the one place the choice of continuous or discrete model is made.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample
+from .errors import EmptySample, KindMismatch
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -18,8 +19,10 @@ DISCRETE = "discrete"
 class Sample:
     """Sorted positive observations plus the kind of support they live on.
 
-    `n_rejected` records how many raw inputs were dropped during
-    construction (non-finite, zero or negative values).
+    Tail fits follow `kind`; a discrete sample must hold integers, else
+    construction raises KindMismatch. `n_rejected` records how many raw
+    inputs were dropped during construction (non-finite, zero or negative
+    values).
     """
 
     values: np.ndarray
@@ -40,6 +43,11 @@ class Sample:
             v = np.sort(v)
         if v[0] <= 0:
             raise ValueError("sample values must be > 0")
+        if self.kind == DISCRETE:
+            bad = v[v != np.floor(v)]
+            if bad.size:
+                raise KindMismatch(f"discrete sample holds {bad.size} non-integer "
+                                   f"values (smallest {bad[0]:.10g})")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -61,7 +69,8 @@ def make_sample(values, kind: str = CONTINUOUS) -> Sample:
     Non-finite and non-positive entries are filtered out (their count is
     reported on the result as `n_rejected`); the rest are sorted ascending.
 
-    Raises EmptySample if nothing survives the filter.
+    Raises EmptySample if nothing survives the filter, and KindMismatch if a
+    discrete sample keeps a non-integer value.
     """
     v = np.asarray(values, dtype=float).ravel()
     keep = np.isfinite(v) & (v > 0)

@@ -24,6 +24,7 @@ from the same draw; truncated at its hi, its curve must have the same bits),
 diagnostics, fit the same `coef` bit for bit, and group the same samples.
 """
 
+import bisect
 import csv
 import math
 
@@ -62,16 +63,18 @@ def ks_naive(tail, alpha, xmin, kind="continuous"):
 
     The upper edge compares against the model CDF at the point, the lower
     edge against the model CDF just below it (identical for the continuous
-    kind; F(v-1) on integer support).
+    kind; F(v-1) on integer support). The counts at or below and below each
+    point are binary searches on a sorted copy of the tail.
     """
+    ordered = sorted(tail)
     xs = sorted(set(float(v) for v in tail))
     n = len(tail)
     worst = 0.0
     if kind == "discrete":
         z0 = zeta_naive(alpha, xmin)
     for v in xs:
-        n_le = sum(1 for t in tail if t <= v)
-        n_lt = sum(1 for t in tail if t < v)
+        n_le = bisect.bisect_right(ordered, v)
+        n_lt = bisect.bisect_left(ordered, v)
         if kind == "continuous":
             F_hi = 1.0 - (v / xmin) ** (1.0 - alpha)
             F_lo = F_hi
@@ -137,7 +140,7 @@ def select_xmin_exhaustive(s, opts=None):
         raise SampleTooSmall(f"need >= {opts.min_tail} observations, got {n}")
 
     if opts.xmin_override is not None:
-        return _fit_at(x, float(opts.xmin_override), opts.kind)
+        return _fit_at(s, float(opts.xmin_override))
 
     dv, dcount, dcum, dt, wsuffix = _distinct_stats(x)
     cand = _candidate_indices(dv, dcum, n, opts.min_tail, opts.candidate_cap)
@@ -151,7 +154,7 @@ def select_xmin_exhaustive(s, opts=None):
         sum_logs = float(wsuffix[k0]) - m * float(dt[k0])
         if sum_logs <= 0.0:
             continue
-        if opts.kind == CONTINUOUS:
+        if s.kind == CONTINUOUS:
             alpha = 1.0 + m / sum_logs
             F = 1.0 - np.exp((1.0 - alpha) * (dt[k0:] - dt[k0]))
         else:
@@ -164,7 +167,7 @@ def select_xmin_exhaustive(s, opts=None):
         cle = dcum[k0:] - below
         e_hi = cle / m
         e_lo = (cle - dcount[k0:]) / m
-        if opts.kind == CONTINUOUS:
+        if s.kind == CONTINUOUS:
             F_lo = F
         else:
             # lower step edge of an integer support sits at F(v-1) = 1 - P(X >= v)
@@ -174,18 +177,18 @@ def select_xmin_exhaustive(s, opts=None):
 
     if not scanned:
         raise DegenerateTail("every candidate tail was degenerate")
-    allowance = opts.resolved_allowance()
+    allowance = opts.resolved_allowance(s.kind)
     ks_min = min(ks for _, _, ks in scanned)
-    ordered = scanned if opts.kind == CONTINUOUS else reversed(scanned)
+    ordered = scanned if s.kind == CONTINUOUS else reversed(scanned)
     k0, m, ks = next(t for t in ordered
                      if t[2] <= ks_min + allowance / math.sqrt(t[1]))
     xmin = float(dv[k0])
-    if opts.kind == CONTINUOUS:
+    if s.kind == CONTINUOUS:
         alpha, stderr, loglik = mle_alpha_continuous(x[n - m:], xmin)
     else:
         alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
-                   stderr=stderr, loglik=loglik, kind=opts.kind)
+                   stderr=stderr, loglik=loglik, kind=s.kind)
 
 
 def ccdf_naive(values):
@@ -300,7 +303,7 @@ def simulate_copy_loop(cfg: GrowthConfig) -> DegreeSequence:
         counts[target] += 1
         urn[ulen] = target
         ulen += 1
-    return DegreeSequence(counts=counts, config=cfg, steps=n - 1)
+    return DegreeSequence(counts=counts, steps=n - 1)
 
 
 def simulate_ba_loop(cfg: GrowthConfig) -> DegreeSequence:
@@ -338,7 +341,7 @@ def simulate_ba_loop(cfg: GrowthConfig) -> DegreeSequence:
             ulen += 2
             deg[t] += 1
             deg[v] += 1
-    return DegreeSequence(counts=deg, config=cfg, steps=n_edges)
+    return DegreeSequence(counts=deg, steps=n_edges)
 
 
 def amse_curve_loop(x: np.ndarray, nb: int, rng, replicates: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from tailkit.errors import SchemaError
 from tailkit.fixtures import write_fixture
 from tailkit.pipeline import run_pipeline
 from tailkit.powerlaw import PowerLawModel, pl_sample
+from tailkit.rng import make_rng
 
 from oracles import read_column_loop
 from samples import spliced
@@ -116,6 +117,30 @@ def test_simulate_bad_gamma_exit_code(tmp_path, capsys):
                            "5000", "--gamma", "1.5", "--out",
                            str(tmp_path / "x.csv"))
     assert code == 2 and "gamma" in err
+
+
+@pytest.mark.parametrize("argv", [["--model", "ba", "--gamma", "0.2"],
+                                  ["--model", "copy", "--m", "2"]])
+def test_simulate_rejects_a_flag_of_the_other_model(argv, tmp_path, capsys):
+    out_csv = tmp_path / "deg.csv"
+    code, out, err = run_cli(capsys, "simulate", *argv, "--nodes", "5000",
+                             "--out", str(out_csv))
+    assert code == 2 and out == ""
+    assert f"error: {argv[2]} applies only to --model" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare"])
+def test_discrete_kind_refuses_non_integer_values(command, tmp_path, capsys):
+    # integer Pareto counts plus a non-integer body
+    rng = make_rng(3)
+    values = np.concatenate((np.floor(rng.pareto(1.5, 2000) + 1.0),
+                             rng.uniform(1.0, 3.0, 500)))
+    path = tmp_path / "mixed.csv"
+    path.write_text("\n".join(map(repr, values.tolist())), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path), "--kind", "discrete")
+    assert code == 2 and out == ""
+    assert "error: discrete sample holds 500 non-integer values" in err
 
 
 def test_fit_reports_rejected_values(pareto_file, tmp_path, capsys):

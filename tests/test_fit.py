@@ -100,7 +100,7 @@ def test_mle_discrete_at_search_edge_raises():
     with pytest.raises(DegenerateTail, match="edge of its search range"):
         mle_alpha_discrete(x, xmin=1)
     with pytest.raises(DegenerateTail):
-        select_xmin(make_sample(x, kind="discrete"), FitOptions(kind="discrete"))
+        select_xmin(make_sample(x, kind="discrete"))
 
 
 @given(x=st.lists(st.floats(1.0, 1000.0), min_size=1, max_size=300),
@@ -145,13 +145,20 @@ def test_discrete_candidates_share_one_search(monkeypatch):
         return hurwitz_zeta(s, q)
 
     monkeypatch.setattr("tailkit.fit.hurwitz_zeta", counting)
-    c = _Candidates(make_sample(d.counts, kind="discrete").values,
-                    FitOptions(kind="discrete"))
+    c = _Candidates(make_sample(d.counts, kind="discrete"), FitOptions())
     assert c.k0.size > 300
     assert len(calls) < 100
 
 
 # -- threshold selection ----------------------------------------------------------
+
+def test_select_xmin_follows_the_sample_kind():
+    # default options: a discrete sample gets the discrete (zeta) fit
+    s = pl_sample(PowerLawModel(alpha=2.5, xmin=1.0, kind="discrete"), 50_000, seed=7)
+    fit = select_xmin(s)
+    assert fit.kind == "discrete"
+    assert (fit.alpha, fit.xmin, fit.n_tail) == (2.5108486734928377, 4.0, 3737)
+
 
 def test_select_xmin_pure_pareto():
     s = pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 100_000, seed=7)
@@ -255,8 +262,7 @@ def _same_outcome(s, opts):
 def test_pruned_scan_equals_exhaustive_scan(gen, n, seed, min_tail, cap, allowance):
     s = _scan_input(gen, n, seed)
     min_tail = {"n": n, "n-1": max(2, n - 1)}.get(min_tail, min_tail)
-    opts = FitOptions(kind=s.kind, min_tail=min_tail, candidate_cap=cap,
-                      ks_allowance=allowance)
+    opts = FitOptions(min_tail=min_tail, candidate_cap=cap, ks_allowance=allowance)
     _same_outcome(s, opts)
 
 
@@ -272,8 +278,7 @@ def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
     else:
         d = simulate_ba(GrowthConfig(model="ba", n_nodes=30_000, m=2, seed=4))
         s = make_sample(d.counts, kind="discrete")
-    opts = FitOptions(kind=s.kind)
-    assert select_xmin(s, opts) == select_xmin_exhaustive(s, opts)
+    assert select_xmin(s) == select_xmin_exhaustive(s)
 
 
 @settings(deadline=None, max_examples=60)
@@ -285,7 +290,7 @@ def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap)
     # every stride the scan can reach: ceil(L/16), then / 4 down to 1
     s = _scan_input(gen, n, seed)
     try:
-        c = _Candidates(s.values, FitOptions(kind=s.kind, min_tail=2, candidate_cap=cap))
+        c = _Candidates(s, FitOptions(min_tail=2, candidate_cap=cap))
     except (SampleTooSmall, DegenerateTail):
         return
     idx = np.arange(c.k0.size)
@@ -303,7 +308,7 @@ def test_lower_bounds_never_exceed_exact_ks(gen):
     # fixed samples, every candidate: the scan's coarse bound and the stride-1 bound
     for seed in range(5):
         s = _scan_input(gen, 3000, 700 + seed)
-        c = _Candidates(s.values, FitOptions(kind=s.kind, candidate_cap=None))
+        c = _Candidates(s, FitOptions(candidate_cap=None))
         idx = np.arange(c.k0.size)
         exact = np.array([c.exact_ks(i) for i in idx])
         coarse = -(-(c.dv.size - c.k0) // _LB_POINTS)

@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 import tailkit.fit
-from tailkit.errors import DegenerateTail, DomainError
+from tailkit.errors import DegenerateTail, DomainError, KindMismatch
 from tailkit.fit import FitOptions, fit_report, gof_pvalue, select_xmin
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.rng import make_rng
@@ -53,6 +54,14 @@ def test_gof_deterministic_and_worker_invariant(pareto_fit):
     assert a.p_value == b.p_value == c.p_value
     d = gof_pvalue(s, fit, n_boot=100, seed=22)
     assert d.seed != a.seed
+
+
+def test_gof_rejects_a_fit_of_another_kind(pareto_fit, monkeypatch):
+    s, fit = pareto_fit
+    counts = make_sample(np.floor(s.values), kind="discrete")
+    monkeypatch.setattr(tailkit.fit, "_one_replicate", None)  # no replicate is drawn
+    with pytest.raises(KindMismatch):
+        gof_pvalue(counts, fit, n_boot=100, seed=1)
 
 
 def test_gof_all_tail_sample():

@@ -85,7 +85,7 @@ def test_copy_gamma_one_is_uniform():
     # pure exploration: thin, exponential-type tail; with the fitted tail
     # required to hold a substantive share of the data, the power-law null
     # should be rejected for nearly all seeds
-    opts = FitOptions(kind=DISCRETE, min_tail=2000)
+    opts = FitOptions(min_tail=2000)
     rejected = 0
     for seed in range(10):
         cfg = GrowthConfig(model=COPY, n_nodes=100_000, gamma=1.0, seed=100 + seed)
@@ -199,12 +199,6 @@ def test_measure_exponent_deterministic():
     f1 = measure_exponent(simulate_copy(cfg))
     f2 = measure_exponent(simulate_copy(cfg))
     assert f1 == f2
-
-
-def test_measure_exponent_rejects_continuous_opts():
-    cfg = GrowthConfig(model=COPY, n_nodes=5000, gamma=0.3, seed=5)
-    with pytest.raises(DomainError):
-        measure_exponent(simulate_copy(cfg), FitOptions(kind="continuous"))
 
 
 def test_gamma_sweep_rows_and_monotonicity():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tailkit.errors import EmptySample
+from tailkit.errors import EmptySample, KindMismatch
 from tailkit.sample import Sample, empirical_ccdf, make_sample
 
 from oracles import ccdf_naive
@@ -43,6 +43,14 @@ def test_sample_does_not_freeze_caller_array():
     arr = np.array([1.0, 2.0, 3.0])
     Sample(values=arr)
     arr[0] = 9.0  # caller's array must stay writeable
+
+
+def test_discrete_sample_must_hold_integers():
+    with pytest.raises(KindMismatch, match="1 non-integer"):
+        make_sample([1.5, 2.0, 3.0], kind="discrete")
+    with pytest.raises(KindMismatch):
+        Sample(values=np.array([1.5, 2.0, 3.0]), kind="discrete")
+    assert make_sample([3.0, 1.0, 2.0], kind="discrete").kind == "discrete"
 
 
 def test_empirical_ccdf_counts():
