@@ -32,8 +32,9 @@ from .errors import (
     SchemaError,
     TailkitError,
 )
-from .estimators import comparison_csv, estimator_comparison
-from .fit import FitOptions, fit_report, gof_pvalue, power_law_proportion, select_xmin
+from .estimators import comparison_csv, estimator_comparison, k_exceeds_tail
+from .fit import (FitOptions, check_n_boot, fit_report, gof_pvalue, power_law_proportion,
+                  select_xmin)
 from .growth import (
     BA,
     COPY,
@@ -57,9 +58,12 @@ _EXIT_CODES = {OSError: 1, TailkitError: 2, SampleTooSmall: 3, EmptySample: 3,
 def _workers() -> int:
     env = os.environ.get("TAILKIT_WORKERS") or "1"
     try:
-        return max(int(env), 1)
+        workers = int(env)
     except ValueError:
         raise DomainError(f"TAILKIT_WORKERS must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise DomainError(f"TAILKIT_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 _READ_BLOCK = 1 << 16  # lines converted per np.array call
@@ -72,10 +76,10 @@ def _read_column(path) -> np.ndarray:
     lines at a time by `np.array`, which parses each string as `float`
     does; only a block that fails is searched for its first bad line. A
     block's strings are freed before the next is read, so the whole text
-    is never held at once.
+    is never held at once. A UTF-8 byte-order mark at the start is skipped.
     """
     blocks = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not data
         for start in itertools.count(0, _READ_BLOCK):
             fields = [line.strip().split(",")[0]
                       for line in itertools.islice(fh, _READ_BLOCK)]
@@ -106,12 +110,14 @@ def _is_number(text: str) -> bool:
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
+    if args.bootstrap:
+        check_n_boot(args.bootstrap)
     values = _read_column(args.input)
     sample = make_sample(values, kind=args.kind)
     opts = FitOptions(min_tail=args.min_tail, xmin_override=args.xmin)
     fit = select_xmin(sample, opts)
     gof = None
-    if args.bootstrap > 0:
+    if args.bootstrap:
         gof = gof_pvalue(sample, fit, n_boot=args.bootstrap, seed=args.seed,
                          opts=opts, workers=_workers())
     report = fit_report(fit, n=len(sample), gof=gof, seed=args.seed)
@@ -161,8 +167,8 @@ def cmd_compare(args) -> int:
         print("integer-valued sample: hill, adjusted_hill and moments assume continuous "
               "data, and ties bias them", file=sys.stderr)
     estimates = estimator_comparison(sample, seed=args.seed)
-    cns, k = estimates[0], estimates[1].k_used
-    if k > cns.k_used:
+    if k_exceeds_tail(estimates)[1]:
+        cns, k = estimates[0], estimates[1].k_used
         print(f"double-bootstrap k = {k} exceeds the {cns.k_used} values at or above "
               f"the fitted xmin {cns.threshold:.10g}: the hill-type rows take in the body",
               file=sys.stderr)

@@ -24,6 +24,7 @@ __all__ = [
     "adjusted_hill",
     "double_bootstrap_k",
     "estimator_comparison",
+    "k_exceeds_tail",
     "comparison_csv",
 ]
 
@@ -213,20 +214,24 @@ def estimator_comparison(s: Sample, seed: int) -> list[TailIndexEstimate]:
     return [cns, hill(s, k_star), adjusted_hill(s, k_star), moments(s, k_star)]
 
 
-def comparison_csv(estimates: list[TailIndexEstimate]) -> str:
-    """Comparison table: method, alpha, gamma, threshold (k or xmin), stderr,
-    and k_exceeds_tail.
-
-    k_exceeds_tail is empty on the cns row; on an order-statistics row it is
-    true when that row's k exceeds the cns row's tail size n_tail, that is,
-    when the estimate takes in values below the fitted xmin. On an
-    exactly-Pareto tail the double-bootstrap AMSE curve is flat, and k* can
-    run past the knee into the body; the flag says so rather than capping k.
+def k_exceeds_tail(estimates: list[TailIndexEstimate]) -> list[bool | None]:
+    """Per estimate, whether its k exceeds the cns row's tail size n_tail,
+    that is, whether it takes in values below the fitted xmin; None on the
+    cns row and where there is no cns row. On an exactly-Pareto tail the
+    double-bootstrap AMSE curve is flat, and k* can run past the knee into
+    the body; the flag says so rather than capping k.
     """
     n_tail = next((e.k_used for e in estimates if e.method == CNS), None)
+    return [None if e.method == CNS or n_tail is None else e.k_used > n_tail
+            for e in estimates]
+
+
+def comparison_csv(estimates: list[TailIndexEstimate]) -> str:
+    """Comparison table: method, alpha, gamma, threshold (k or xmin), stderr,
+    and k_exceeds_tail (see `k_exceeds_tail`; empty where that is None)."""
     return csv_table(
         ("method", "alpha", "gamma", "threshold", "stderr", "k_exceeds_tail"),
         ((e.method, "" if e.alpha is None else e.alpha, e.gamma,
           e.threshold if e.method == CNS else e.k_used, "" if e.stderr is None else e.stderr,
-          "" if e.method == CNS or n_tail is None else str(e.k_used > n_tail).lower())
-         for e in estimates))
+          "" if exceeds is None else str(exceeds).lower())
+         for e, exceeds in zip(estimates, k_exceeds_tail(estimates))))

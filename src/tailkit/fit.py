@@ -4,7 +4,7 @@ The fitting recipe: for every candidate threshold (a distinct sample value
 with enough observations above it) estimate alpha by maximum likelihood,
 score the fit by the KS distance between the empirical tail and the fitted
 model, and keep the candidate the KS rule picks (the minimum, or the
-threshold FitOptions.ks_allowance prefers among near-minimal ones). A
+threshold `_KS_ALLOWANCE` prefers among near-minimal ones). A
 semiparametric bootstrap turns the observed KS distance into a
 goodness-of-fit p-value.
 
@@ -42,6 +42,7 @@ scan's, bit for bit.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import DegenerateTail, DomainError, KindMismatch, SampleTooSmall
 from .powerlaw import PowerLawModel, hurwitz_zeta, ks_distance, ks_gap, pl_ppf
 from .rng import make_rng
-from .sample import CONTINUOUS, Sample, distinct_runs
+from .sample import CONTINUOUS, DISCRETE, Sample, distinct_runs
 
 __all__ = [
     "TailFit",
@@ -84,43 +85,20 @@ class TailFit:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs for the threshold scan; the sample's kind picks the model.
+    """Settings of the threshold scan; the sample's kind picks the model.
 
     min_tail: smallest tail size a candidate threshold may leave.
     xmin_override: skip the scan and fit above this fixed threshold (finite, > 0).
-    candidate_cap: max number of distinct-value candidates scanned; when
-        there are more, an evenly spaced subset (always including the
-        smallest) is used. Samples with fewer distinct values than the cap
-        are scanned exhaustively.
-    ks_allowance: noise tolerance for the threshold choice among candidates
-        whose KS distance is within ks_allowance/sqrt(n_tail) of the global
-        minimum. Continuous scans keep the smallest such threshold (the
-        largest tail statistically indistinguishable from the best score);
-        integer-count scans keep the largest (small counts carry mechanical
-        finite-size curvature, so the deepest indistinguishable tail is the
-        one the model is meant for). None picks the default for the
-        sample's kind (0.2 continuous, 0.35 discrete); 0 gives the plain
-        minimizer.
     """
 
     min_tail: int = 50
     xmin_override: float | None = None
-    candidate_cap: int | None = 512
-    ks_allowance: float | None = None
 
     def __post_init__(self):
         if self.min_tail < 2:
             raise DomainError(f"min_tail must be >= 2, got {self.min_tail}")
-        if self.ks_allowance is not None and self.ks_allowance < 0:
-            raise DomainError("ks_allowance must be >= 0")
         if self.xmin_override is not None and not 0 < self.xmin_override < math.inf:
             raise DomainError(f"xmin_override must be finite and > 0, got {self.xmin_override}")
-
-    def resolved_allowance(self, kind: str) -> float:
-        """ks_allowance, or the default for a sample of `kind`."""
-        if self.ks_allowance is not None:
-            return self.ks_allowance
-        return 0.2 if kind == CONTINUOUS else 0.35
 
 
 @dataclass(frozen=True)
@@ -246,12 +224,24 @@ def _distinct_stats(x: np.ndarray):
     return dv, dcount, dcum, dt, wsuffix
 
 
-def _candidate_indices(dv, dcum, n, min_tail, cap):
+# At most _CANDIDATE_CAP thresholds are scanned; past that an evenly spaced
+# subset, always holding the smallest, stands in for them.
+_CANDIDATE_CAP = 512
+# The rule keeps, among candidates whose KS distance lies within
+# _KS_ALLOWANCE[kind]/sqrt(n_tail) of the minimum, the smallest threshold
+# for a continuous sample: the largest tail statistically indistinguishable
+# from the best score. An integer-count sample keeps the largest: small
+# counts carry mechanical finite-size curvature, so the deepest
+# indistinguishable tail is the one the model is meant for.
+_KS_ALLOWANCE = {CONTINUOUS: 0.2, DISCRETE: 0.35}
+
+
+def _candidate_indices(dv, dcum, n, min_tail):
     n_tail = n - np.concatenate(([0], dcum[:-1]))
     cand = np.flatnonzero(n_tail >= min_tail)
     cand = cand[dv[cand] < dv[-1]]  # a tail of identical values is degenerate
-    if cap is not None and cand.size > cap:
-        sel = np.unique(np.round(np.linspace(0, cand.size - 1, cap)).astype(int))
+    if cand.size > _CANDIDATE_CAP:
+        sel = np.unique(np.round(np.linspace(0, cand.size - 1, _CANDIDATE_CAP)).astype(int))
         cand = cand[sel]
     return cand
 
@@ -275,7 +265,7 @@ class _Candidates:
         n = len(s)
         self.kind = s.kind
         self.dv, self.dcount, self.dcum, self.dt, wsuffix = _distinct_stats(s.values)
-        cand = _candidate_indices(self.dv, self.dcum, n, opts.min_tail, opts.candidate_cap)
+        cand = _candidate_indices(self.dv, self.dcum, n, opts.min_tail)
         if cand.size == 0:
             raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
         below = np.concatenate(([0], self.dcum[:-1]))[cand]
@@ -347,11 +337,12 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
 
     The fit uses the model of `s.kind`: the continuous power law, or the
     discrete (Hurwitz-zeta) one for integer counts. Candidates are distinct
-    sample values keeping at least `opts.min_tail` observations. Among
-    candidates within `ks_allowance/sqrt(n_tail)` of the minimal distance,
-    the continuous rule keeps the smallest threshold and the discrete rule
-    the largest (see FitOptions.ks_allowance); exact ties break the same
-    way. With `opts.xmin_override` the scan is skipped entirely.
+    sample values keeping at least `opts.min_tail` observations, at most
+    512 of them (`_CANDIDATE_CAP`). Among candidates within
+    `allowance/sqrt(n_tail)` of the minimal distance, the continuous rule
+    keeps the smallest threshold (allowance 0.2) and the discrete rule the
+    largest (0.35; see `_KS_ALLOWANCE`); exact ties break the same way.
+    With `opts.xmin_override` the scan is skipped entirely.
 
     The scan runs in three phases (see the module docstring): a coarse lower
     bound on every candidate's KS distance from about 16 points of its
@@ -395,7 +386,7 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
         ks_min = float(np.nanmin(ks))  # a refinement to stride 1 may lower it
         contenders = contenders[np.isnan(ks[contenders]) & (lb[contenders] <= ks_min + _LB_MARGIN)]
 
-    band = ks_min + opts.resolved_allowance(s.kind) / np.sqrt(c.m)
+    band = ks_min + _KS_ALLOWANCE[s.kind] / np.sqrt(c.m)
     # bounds only rise, so a candidate left out here never enters its band
     walk = np.flatnonzero((lb <= band + _LB_MARGIN) | (ks <= band))
     for i in walk if s.kind == CONTINUOUS else walk[::-1]:
@@ -453,14 +444,15 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
     below xmin. Replicates are refit with the same options, and the p-value
     is the exact fraction with KS distance >= the observed one; a replicate
     whose refit raises counts as >= and is reported in `n_failed`. Replicate
-    streams derive from (seed, index), so results do not depend on `workers`.
-    Raises KindMismatch, before any replicate is drawn, when the fit's kind
-    is not the sample's.
+    streams derive from (seed, index), so results do not depend on `workers`;
+    min(workers, n_boot, CPU count) processes run them. Raises KindMismatch,
+    before any replicate is drawn, when the fit's kind is not the sample's.
     """
     check_n_boot(n_boot)
     if fit.kind != s.kind:
         raise KindMismatch(f"a {fit.kind} fit cannot be tested on a {s.kind} sample")
     replicate = partial(_one_replicate, s, fit, opts or FitOptions(), seed)
+    workers = min(workers, n_boot, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, rarely needed
 

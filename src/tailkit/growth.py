@@ -24,9 +24,9 @@ counts are those of the sequential process, bit for bit; preferential
 attachment redraws, one at a time, only the nodes whose targets repeat.
 
 Pure exploitation (gamma = 0) cannot bootstrap newcomers in a finite run:
-every unit would return to the seed forever. A small exploration floor
-(default 0.05) realizes the gamma -> 0 limit while keeping the predicted
-exponent within one percent of 2.
+every unit would return to the seed forever. EXPLORATION_FLOOR = 0.05, the
+least gamma the copy model runs at, realizes the gamma -> 0 limit while
+keeping the predicted exponent, 1 + 1/0.95 = 2.053, within 3% of 2.
 """
 
 import math
@@ -77,7 +77,6 @@ class GrowthConfig:
     gamma: float = 0.0          # copy model: exploration probability
     m: int = 1                  # ba model: edges per new node
     seed: int = 0
-    exploration_floor: float = EXPLORATION_FLOOR
 
     def __post_init__(self):
         if self.model not in (COPY, BA):
@@ -152,7 +151,7 @@ def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     if cfg.model != COPY:
         raise DomainError("config is not a copy-model config")
     n = cfg.n_nodes
-    g = cfg.gamma if cfg.gamma >= cfg.exploration_floor else cfg.exploration_floor
+    g = cfg.gamma if cfg.gamma >= EXPLORATION_FLOOR else EXPLORATION_FLOOR
     if cfg.gamma == 1.0:
         g = 1.0
     rng = make_rng(cfg.seed)

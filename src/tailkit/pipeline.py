@@ -156,8 +156,6 @@ class EarningsTable:
             return NotImplemented
         return list(self) == list(other)
 
-    __hash__ = None
-
     @cached_property
     def _single_platform(self):
         """(names, bucket, order): the sorted single-platform bucket names,
@@ -289,7 +287,7 @@ def parse_csv(path) -> ParseResult:
     decode = {"platforms": _Decoder(_parse_platforms), "nsfw": _Decoder(_parse_bool),
               "category": _Decoder(lambda t: t.strip().lower())}
     parts, diagnostics = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not data
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in CSV_COLUMNS if c not in header]
@@ -589,7 +587,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     byte reproducibly; `workers` sets the bootstrap's process count, which
     does not change its results. Returns the manifest."""
     t0 = time.perf_counter()
-    if bootstrap > 0:
+    if bootstrap:
         check_n_boot(bootstrap)
     if not math.isfinite(floor):
         raise DomainError(f"floor must be a finite number, got {floor}")
@@ -635,7 +633,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     for p, fit in fits.items():
         s = buckets[p]
         gof = None
-        if bootstrap > 0:
+        if bootstrap:
             gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, opts=opts,
                              workers=workers)
         write(f"fits/{p}.json", _json(fit_report(fit, n=len(s), gof=gof, seed=seed)))

@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from tailkit import fit, growth
 from tailkit.errors import DegenerateTail, DomainError, SampleTooSmall, SchemaError
 from tailkit.fit import (
     FitOptions,
@@ -132,7 +133,11 @@ def select_xmin_naive(values, min_tail=50, ks_allowance=0.2):
 
 
 def select_xmin_exhaustive(s, opts=None):
-    """Threshold scan with a full KS pass over every candidate's distinct tail."""
+    """Threshold scan with a full KS pass over every candidate's distinct tail.
+
+    The candidate cap and the KS allowance are read from `tailkit.fit` at
+    call time, so a test that patches them there patches them here too.
+    """
     opts = opts or FitOptions()
     x = s.values
     n = x.size
@@ -143,7 +148,7 @@ def select_xmin_exhaustive(s, opts=None):
         return _fit_at(s, float(opts.xmin_override))
 
     dv, dcount, dcum, dt, wsuffix = _distinct_stats(x)
-    cand = _candidate_indices(dv, dcum, n, opts.min_tail, opts.candidate_cap)
+    cand = _candidate_indices(dv, dcum, n, opts.min_tail)
     if cand.size == 0:
         raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
 
@@ -177,7 +182,7 @@ def select_xmin_exhaustive(s, opts=None):
 
     if not scanned:
         raise DegenerateTail("every candidate tail was degenerate")
-    allowance = opts.resolved_allowance(s.kind)
+    allowance = fit._KS_ALLOWANCE[s.kind]
     ks_min = min(ks for _, _, ks in scanned)
     ordered = scanned if s.kind == CONTINUOUS else reversed(scanned)
     k0, m, ks = next(t for t in ordered
@@ -279,14 +284,16 @@ def simulate_copy_loop(cfg: GrowthConfig) -> DegreeSequence:
 
     Sequential growth: at step t creator t arrives holding one unit of
     attention, then one attention event is allocated, uniformly over the
-    t+1 existing creators with probability gamma (floored, see module
-    docstring), otherwise to the owner of a uniformly drawn past event.
-    counts therefore sums to n_nodes (arrival units) + steps exactly.
+    t+1 existing creators with probability gamma (floored at
+    `tailkit.growth.EXPLORATION_FLOOR`, read at call time), otherwise to the
+    owner of a uniformly drawn past event. counts therefore sums to n_nodes
+    (arrival units) + steps exactly.
     """
     if cfg.model != COPY:
         raise DomainError("config is not a copy-model config")
     n = cfg.n_nodes
-    g = cfg.gamma if cfg.gamma >= cfg.exploration_floor else cfg.exploration_floor
+    floor = growth.EXPLORATION_FLOOR
+    g = cfg.gamma if cfg.gamma >= floor else floor
     if cfg.gamma == 1.0:
         g = 1.0
     rng = make_rng(cfg.seed)

@@ -187,6 +187,14 @@ def test_read_column_matches_line_loop(text, block, tmp_path, monkeypatch):
         assert _read_column(path).tobytes() == expected.tobytes()
 
 
+def test_read_column_skips_a_leading_bom(tmp_path):
+    path = tmp_path / "col.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.5\n2\n3\n")
+    assert _read_column(path).tolist() == [1.5, 2.0, 3.0]
+    path.write_bytes(b"\xef\xbb\xbfvalue\n1.5\n")
+    assert _read_column(path).tolist() == [1.5]
+
+
 def test_read_column_names_a_bad_line_past_the_first_block(tmp_path):
     path = tmp_path / "col.csv"
     path.write_text("value\n" + "1.0\n" * 70_000 + "oops\n", encoding="utf-8")
@@ -321,6 +329,21 @@ def test_pipeline_rejects_small_bootstrap_before_writing(fixture_csv, tmp_path, 
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
+@pytest.mark.parametrize("command, n_boot", [("fit", "-5"), ("fit", "20"), ("pipeline", "-5")])
+def test_bootstrap_below_100_rejected_before_any_work(command, n_boot, pareto_file,
+                                                      fixture_csv, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.setattr(cli, "select_xmin", None)  # fit: rejected before the scan
+    out = tmp_path / "out"
+    argv = ([str(pareto_file)] if command == "fit"
+            else [str(fixture_csv), "--out", str(out)])
+    code, stdout, err = run_cli(capsys, command, *argv, f"--bootstrap={n_boot}")
+    assert code == 2
+    assert f"n_boot must be >= 100, got {n_boot}" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_pipeline_rejects_small_min_tail_before_writing(fixture_csv, tmp_path, capsys):
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(out),
@@ -347,6 +370,15 @@ def test_workers_variable_must_be_an_integer(pareto_file, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert "error: TAILKIT_WORKERS must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_variable_must_be_positive(workers, pareto_file, monkeypatch, capsys):
+    monkeypatch.setenv("TAILKIT_WORKERS", workers)
+    code, out, err = run_cli(capsys, "fit", str(pareto_file), "--bootstrap", "100")
+    assert code == 2
+    assert out == ""
+    assert f"error: TAILKIT_WORKERS must be >= 1, got {workers}" in err
 
 
 # the documented exit code of every error class: 1 I/O, 2 schema or
@@ -475,6 +507,15 @@ def test_pipeline_runs_without_importing_scipy(fixture_csv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("demo", ["01_power_law_basics", "02_tail_fitting",
+                                  "03_estimator_comparison", "04_growth_models"])
+def test_demo_runs(demo, tmp_path):
+    proc = _run_python(Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py",
+                       cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 def test_earnings_demo_runs(tmp_path):

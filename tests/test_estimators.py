@@ -261,3 +261,5 @@ def test_comparison_csv_flags_k_beyond_the_cns_tail():
                     for m, k in (("hill", 100), ("moments", 101))]
     flags = [line.split(",")[-1] for line in comparison_csv(rows).splitlines()[1:]]
     assert flags == ["", "false", "true"]
+    assert estimators.k_exceeds_tail(rows) == [None, False, True]
+    assert estimators.k_exceeds_tail(rows[1:]) == [None, None]  # no cns row

@@ -1,9 +1,11 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tailkit import fit as fit_module
 from tailkit.errors import (
     DegenerateTail,
     DomainError,
@@ -28,7 +30,7 @@ from tailkit.fit import (
 from tailkit.growth import GrowthConfig, simulate_ba, simulate_copy
 from tailkit.powerlaw import PowerLawModel, hurwitz_zeta, pl_sample
 from tailkit.rng import make_rng
-from tailkit.sample import make_sample
+from tailkit.sample import CONTINUOUS, DISCRETE, make_sample
 
 from oracles import select_xmin_exhaustive, select_xmin_naive
 from samples import spliced
@@ -122,7 +124,8 @@ def test_mle_discrete_batch_equals_one_element_calls(n, seed, min_tail):
     # candidate tails of a discrete sample, fitted together and one at a time
     x = _scan_input("discrete", n, seed).values
     dv, _, dcum, _, wsuffix = _distinct_stats(x)
-    cand = _candidate_indices(dv, dcum, n, min_tail, 40)
+    with patch.object(fit_module, "_CANDIDATE_CAP", 40):
+        cand = _candidate_indices(dv, dcum, n, min_tail)
     if cand.size == 0:
         return
     m = n - np.concatenate(([0], dcum[:-1]))[cand]
@@ -224,8 +227,9 @@ def test_select_xmin_override_skips_scan():
 def test_select_xmin_exhaustive_when_under_cap():
     # cap larger than the number of distinct values must not change anything
     s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 300, seed=23)
-    f1 = select_xmin(s, FitOptions(candidate_cap=None))
-    f2 = select_xmin(s, FitOptions(candidate_cap=100_000))
+    f1 = select_xmin(s)
+    with patch.object(fit_module, "_CANDIDATE_CAP", 100_000):
+        f2 = select_xmin(s)
     assert f1 == f2
 
 
@@ -240,6 +244,11 @@ def _scan_input(gen, n, seed):
     if gen == "tied":
         return make_sample(np.round(rng.pareto(1.3, n) + 1.0, 1))
     return make_sample(np.floor(rng.pareto(rng.uniform(0.8, 2.5), n) + 1.0), kind="discrete")
+
+
+def _uncapped(n):
+    """A candidate cap above any candidate count of an n-value sample."""
+    return n + 1
 
 
 def _same_outcome(s, opts):
@@ -257,13 +266,18 @@ def _same_outcome(s, opts):
        n=st.integers(2, 2500),
        seed=st.integers(0, 2**32 - 1),
        min_tail=st.sampled_from([2, 3, 50, "n", "n-1"]),
-       cap=st.sampled_from([None, 1, 2, 37, 512]),
-       allowance=st.sampled_from([None, 0.0, 0.05, 1.0]))
+       cap=st.sampled_from(["all", 1, 2, 37, 512]),
+       allowance=st.sampled_from(["default", 0.0, 0.05, 1.0]))
 def test_pruned_scan_equals_exhaustive_scan(gen, n, seed, min_tail, cap, allowance):
+    # the cap and allowance are module constants; patching them in tailkit.fit
+    # reaches the oracle too
     s = _scan_input(gen, n, seed)
     min_tail = {"n": n, "n-1": max(2, n - 1)}.get(min_tail, min_tail)
-    opts = FitOptions(min_tail=min_tail, candidate_cap=cap, ks_allowance=allowance)
-    _same_outcome(s, opts)
+    cap = _uncapped(n) if cap == "all" else cap
+    allowances = {} if allowance == "default" else {CONTINUOUS: allowance, DISCRETE: allowance}
+    with (patch.object(fit_module, "_CANDIDATE_CAP", cap),
+          patch.dict(fit_module._KS_ALLOWANCE, allowances)):
+        _same_outcome(s, FitOptions(min_tail=min_tail))
 
 
 @pytest.mark.parametrize("case", ["spliced_30k", "frechet_300k", "copy_degrees", "ba_degrees"])
@@ -285,12 +299,13 @@ def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
 @given(gen=st.sampled_from(["pareto", "lognormal", "tied", "discrete"]),
        n=st.integers(60, 3000),
        seed=st.integers(0, 2**32 - 1),
-       cap=st.sampled_from([None, 64]))
+       cap=st.sampled_from(["all", 64]))
 def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap):
     # every stride the scan can reach: ceil(L/16), then / 4 down to 1
     s = _scan_input(gen, n, seed)
     try:
-        c = _Candidates(s, FitOptions(min_tail=2, candidate_cap=cap))
+        with patch.object(fit_module, "_CANDIDATE_CAP", _uncapped(n) if cap == "all" else cap):
+            c = _Candidates(s, FitOptions(min_tail=2))
     except (SampleTooSmall, DegenerateTail):
         return
     idx = np.arange(c.k0.size)
@@ -308,7 +323,8 @@ def test_lower_bounds_never_exceed_exact_ks(gen):
     # fixed samples, every candidate: the scan's coarse bound and the stride-1 bound
     for seed in range(5):
         s = _scan_input(gen, 3000, 700 + seed)
-        c = _Candidates(s, FitOptions(candidate_cap=None))
+        with patch.object(fit_module, "_CANDIDATE_CAP", _uncapped(3000)):
+            c = _Candidates(s, FitOptions())
         idx = np.arange(c.k0.size)
         exact = np.array([c.exact_ks(i) for i in idx])
         coarse = -(-(c.dv.size - c.k0) // _LB_POINTS)
@@ -379,8 +395,6 @@ def test_fit_report_fields():
 def test_fit_options_validation():
     with pytest.raises(DomainError):
         FitOptions(min_tail=1)
-    with pytest.raises(DomainError):
-        FitOptions(ks_allowance=-0.1)
     for xmin in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="xmin_override must be finite and > 0"):
             FitOptions(xmin_override=xmin)

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import numpy as np
 import pytest
 
@@ -54,6 +57,34 @@ def test_gof_deterministic_and_worker_invariant(pareto_fit):
     assert a.p_value == b.p_value == c.p_value
     d = gof_pvalue(s, fit, n_boot=100, seed=22)
     assert d.seed != a.seed
+
+
+@pytest.mark.parametrize("workers, cpus, pool_size", [
+    (5000, 64, 64), (5000, 500, 100), (3, 64, 3), (5000, None, None), (1, 64, None)])
+def test_gof_pool_never_exceeds_replicates_or_cpus(workers, cpus, pool_size, pareto_fit,
+                                                    monkeypatch):
+    # a fake pool records its size and maps in this process: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    s, fit = pareto_fit
+    serial = gof_pvalue(s, fit, n_boot=100, seed=21)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert gof_pvalue(s, fit, n_boot=100, seed=21, workers=workers) == serial
+    assert sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_gof_rejects_a_fit_of_another_kind(pareto_fit, monkeypatch):

@@ -1,9 +1,11 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tailkit import growth
 from tailkit.errors import DomainError, SampleTooSmall
 from tailkit.fit import FitOptions, gof_pvalue, select_xmin
 from tailkit.growth import (
@@ -148,9 +150,9 @@ def test_ba_small_run_fit_contract():
 @pytest.mark.parametrize("n", [1000, 1001, 200_000])
 def test_copy_equals_loop_oracle(gamma, floor, n):
     for seed in (0, 17) if n < 10_000 else (3,):
-        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed,
-                           exploration_floor=floor)
-        assert np.array_equal(simulate_copy(cfg).counts, simulate_copy_loop(cfg).counts)
+        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed)
+        with patch.object(growth, "EXPLORATION_FLOOR", floor):
+            assert np.array_equal(simulate_copy(cfg).counts, simulate_copy_loop(cfg).counts)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -172,9 +174,9 @@ def test_ba_equals_loop_oracle(m):
        seed=st.integers(min_value=0, max_value=2**32))
 def test_simulators_equal_loop_oracles(model, n, gamma, floor, m, seed):
     if model == COPY:
-        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed,
-                           exploration_floor=floor)
-        fast, loop = simulate_copy(cfg), simulate_copy_loop(cfg)
+        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed)
+        with patch.object(growth, "EXPLORATION_FLOOR", floor):
+            fast, loop = simulate_copy(cfg), simulate_copy_loop(cfg)
     else:
         cfg = GrowthConfig(model=BA, n_nodes=n, m=m, seed=seed)
         fast, loop = simulate_ba(cfg), simulate_ba_loop(cfg)

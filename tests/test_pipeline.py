@@ -106,6 +106,14 @@ def test_parse_header_only_gives_an_empty_table(tmp_path):
     assert res.records == table()
 
 
+def test_parse_skips_a_leading_bom(tmp_path):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    write_fixture(plain, 300, seed=5)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got = parse_csv(bom)
+    assert len(got.records) == 300 and got == parse_csv(plain)
+
+
 def test_parse_missing_column_schema_error(tmp_path):
     p = tmp_path / "a.csv"
     write_csv(p, ["c1,2021,x,false,10,3,5"],
@@ -350,6 +358,8 @@ def test_table_round_trips_its_records():
     assert t.take([2, 0]) == table(rs[2], rs[0])
     with pytest.raises(IndexError):
         t[3]
+    with pytest.raises(TypeError):  # equal by records, so not hashable
+        hash(t)
 
 
 def test_parse_short_row_rejected_with_missing_fields(tmp_path):
