@@ -12,7 +12,6 @@ Run:  python demos/04_growth_models.py   (about a minute)
 """
 
 from tailkit import (
-    GrowthConfig,
     ccdf_slope,
     gamma_sweep,
     measure_exponent,
@@ -23,15 +22,15 @@ from tailkit import (
 from tailkit.growth import sweep_csv
 
 # --- one copy-model run, measured against its prediction ----------------------
-cfg = GrowthConfig(model="copy", n_nodes=200_000, gamma=0.5, seed=2)
-run = simulate_copy(cfg)
+n_nodes, gamma = 200_000, 0.5
+run = simulate_copy(n_nodes, gamma=gamma, seed=2)
 fit = measure_exponent(run)
-print(f"copy model, gamma = {cfg.gamma}:")
-print(f"  predicted density exponent: {theoretical_alpha(cfg.gamma):.3f}")
+print(f"copy model, gamma = {gamma}:")
+print(f"  predicted density exponent: {theoretical_alpha(gamma):.3f}")
 print(f"  measured:  {fit.alpha:.3f} above count {fit.xmin:.0f} "
       f"({fit.n_tail} tail nodes)")
 print(f"  conservation: counts sum to {run.counts.sum()} "
-      f"= {cfg.n_nodes} arrivals + {run.steps} events")
+      f"= {n_nodes} arrivals + {run.steps} events")
 
 # --- sweep exploration levels ---------------------------------------------------
 print("\nsweep (5 runs per gamma):")
@@ -39,7 +38,7 @@ rows = gamma_sweep([0.0, 0.2, 0.5], n_nodes=200_000, seeds_per_gamma=5, seed=101
 print(sweep_csv(rows))
 
 # --- preferential attachment -----------------------------------------------------
-ba = simulate_ba(GrowthConfig(model="ba", n_nodes=200_000, m=2, seed=1))
+ba = simulate_ba(200_000, m=2, seed=1)
 print("preferential attachment, m = 2:")
 print(f"  degree sum: {ba.counts.sum()} = 2 x {ba.steps} edges")
 print(f"  log-log CCDF slope over degrees [10, 500]: "

@@ -41,9 +41,9 @@ from .estimators import (
     moments,
 )
 from .fit import (
-    FitOptions,
     GofResult,
     TailFit,
+    fit_at,
     fit_report,
     gof_pvalue,
     mle_alpha_continuous,
@@ -53,7 +53,6 @@ from .fit import (
 )
 from .growth import (
     DegreeSequence,
-    GrowthConfig,
     ccdf_slope,
     gamma_sweep,
     measure_exponent,
@@ -84,9 +83,7 @@ __all__ = [
     "DegreeSequence",
     "DomainError",
     "EmptySample",
-    "FitOptions",
     "GofResult",
-    "GrowthConfig",
     "InsufficientGrid",
     "KindMismatch",
     "PowerLawModel",
@@ -104,6 +101,7 @@ __all__ = [
     "double_bootstrap_k",
     "empirical_ccdf",
     "estimator_comparison",
+    "fit_at",
     "fit_report",
     "gamma_sweep",
     "gof_pvalue",

@@ -19,6 +19,7 @@ import itertools
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +34,11 @@ from .errors import (
     TailkitError,
 )
 from .estimators import comparison_csv, estimator_comparison, k_exceeds_tail
-from .fit import (FitOptions, check_n_boot, fit_report, gof_pvalue, power_law_proportion,
-                  select_xmin)
+from .fit import (check_min_tail, check_n_boot, fit_at, fit_report, gof_pvalue,
+                  power_law_proportion, select_xmin)
 from .growth import (
     BA,
     COPY,
-    GrowthConfig,
     degrees_csv,
     measure_exponent,
     simulate_ba,
@@ -112,14 +112,19 @@ def _is_number(text: str) -> bool:
 def cmd_fit(args) -> int:
     if args.bootstrap:
         check_n_boot(args.bootstrap)
+        workers = _workers()
     values = _read_column(args.input)
     sample = make_sample(values, kind=args.kind)
-    opts = FitOptions(min_tail=args.min_tail, xmin_override=args.xmin)
-    fit = select_xmin(sample, opts)
+    if args.xmin is None:
+        fitter = partial(select_xmin, min_tail=args.min_tail)
+    else:
+        check_min_tail(args.min_tail, len(sample))  # --min-tail binds without a scan too
+        fitter = partial(fit_at, xmin=args.xmin)
+    fit = fitter(sample)
     gof = None
     if args.bootstrap:
         gof = gof_pvalue(sample, fit, n_boot=args.bootstrap, seed=args.seed,
-                         opts=opts, workers=_workers())
+                         refit=fitter, workers=workers)
     report = fit_report(fit, n=len(sample), gof=gof, seed=args.seed)
     report["proportion"] = power_law_proportion(sample, fit)
     report["n_rejected"] = sample.n_rejected
@@ -128,13 +133,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.model == COPY and args.m is not None:
-        raise DomainError("--m applies only to --model ba")
-    if args.model == BA and args.gamma is not None:
-        raise DomainError("--gamma applies only to --model copy")
-    knobs = {k: v for k, v in (("gamma", args.gamma), ("m", args.m)) if v is not None}
-    cfg = GrowthConfig(model=args.model, n_nodes=args.nodes, seed=args.seed, **knobs)
-    run = simulate_copy(cfg) if args.model == COPY else simulate_ba(cfg)
+    if args.model == COPY:
+        if args.m is not None:
+            raise DomainError("--m applies only to --model ba")
+        gamma = 0.0 if args.gamma is None else args.gamma
+        run = simulate_copy(args.nodes, gamma, args.seed)
+    else:
+        if args.gamma is not None:
+            raise DomainError("--gamma applies only to --model copy")
+        m = 1 if args.m is None else args.m
+        run = simulate_ba(args.nodes, m, args.seed)
     Path(args.out).write_text(degrees_csv(run), encoding="utf-8")
     print(f"wrote {args.out}", file=sys.stderr)
     summary = {
@@ -146,10 +154,10 @@ def cmd_simulate(args) -> int:
         "out": args.out,
     }
     if args.model == COPY:
-        summary["gamma"] = cfg.gamma
-        summary["alpha_predicted"] = theoretical_alpha(cfg.gamma)
+        summary["gamma"] = gamma
+        summary["alpha_predicted"] = theoretical_alpha(gamma)
     else:
-        summary["m"] = cfg.m
+        summary["m"] = m
     if args.fit:
         fit = measure_exponent(run)
         summary["fit"] = fit_report(fit, n=int(run.counts.size))

@@ -55,11 +55,12 @@ from .sample import CONTINUOUS, DISCRETE, Sample, distinct_runs
 
 __all__ = [
     "TailFit",
-    "FitOptions",
     "GofResult",
     "mle_alpha_continuous",
     "mle_alpha_discrete",
+    "check_min_tail",
     "select_xmin",
+    "fit_at",
     "check_n_boot",
     "gof_pvalue",
     "power_law_proportion",
@@ -81,24 +82,6 @@ class TailFit:
 
     def model(self) -> PowerLawModel:
         return PowerLawModel(alpha=self.alpha, xmin=self.xmin, kind=self.kind)
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Settings of the threshold scan; the sample's kind picks the model.
-
-    min_tail: smallest tail size a candidate threshold may leave.
-    xmin_override: skip the scan and fit above this fixed threshold (finite, > 0).
-    """
-
-    min_tail: int = 50
-    xmin_override: float | None = None
-
-    def __post_init__(self):
-        if self.min_tail < 2:
-            raise DomainError(f"min_tail must be >= 2, got {self.min_tail}")
-        if self.xmin_override is not None and not 0 < self.xmin_override < math.inf:
-            raise DomainError(f"xmin_override must be finite and > 0, got {self.xmin_override}")
 
 
 @dataclass(frozen=True)
@@ -261,11 +244,11 @@ class _Candidates:
     Candidates are in ascending threshold order.
     """
 
-    def __init__(self, s: Sample, opts: FitOptions):
+    def __init__(self, s: Sample, min_tail: int):
         n = len(s)
         self.kind = s.kind
         self.dv, self.dcount, self.dcum, self.dt, wsuffix = _distinct_stats(s.values)
-        cand = _candidate_indices(self.dv, self.dcum, n, opts.min_tail)
+        cand = _candidate_indices(self.dv, self.dcum, n, min_tail)
         if cand.size == 0:
             raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
         below = np.concatenate(([0], self.dcum[:-1]))[cand]
@@ -332,17 +315,26 @@ class _Candidates:
         return lb
 
 
-def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
+def check_min_tail(min_tail: int, n: int | None = None) -> None:
+    """Raise DomainError unless min_tail >= 2, and SampleTooSmall when a
+    sample of n observations holds fewer than min_tail."""
+    if min_tail < 2:
+        raise DomainError(f"min_tail must be >= 2, got {min_tail}")
+    if n is not None and n < min_tail:
+        raise SampleTooSmall(f"need >= {min_tail} observations, got {n}")
+
+
+def select_xmin(s: Sample, min_tail: int = 50) -> TailFit:
     """Pick the threshold whose MLE fit minimizes the KS distance.
 
     The fit uses the model of `s.kind`: the continuous power law, or the
     discrete (Hurwitz-zeta) one for integer counts. Candidates are distinct
-    sample values keeping at least `opts.min_tail` observations, at most
+    sample values keeping at least `min_tail` (>= 2) observations, at most
     512 of them (`_CANDIDATE_CAP`). Among candidates within
     `allowance/sqrt(n_tail)` of the minimal distance, the continuous rule
     keeps the smallest threshold (allowance 0.2) and the discrete rule the
     largest (0.35; see `_KS_ALLOWANCE`); exact ties break the same way.
-    With `opts.xmin_override` the scan is skipped entirely.
+    `fit_at` fits above a fixed threshold instead.
 
     The scan runs in three phases (see the module docstring): a coarse lower
     bound on every candidate's KS distance from about 16 points of its
@@ -355,16 +347,10 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
     margin), the result equals that of computing every candidate's distance,
     bit for bit.
     """
-    opts = opts or FitOptions()
     x = s.values
     n = x.size
-    if n < opts.min_tail:
-        raise SampleTooSmall(f"need >= {opts.min_tail} observations, got {n}")
-
-    if opts.xmin_override is not None:
-        return _fit_at(s, float(opts.xmin_override))
-
-    c = _Candidates(s, opts)
+    check_min_tail(min_tail, n)
+    c = _Candidates(s, min_tail)
     stride = -(-(c.dv.size - c.k0) // _LB_POINTS)
     lb = c.bounds(np.arange(c.k0.size), stride)
     ks = np.full(c.k0.size, math.nan)  # exact distances computed so far
@@ -401,8 +387,11 @@ def select_xmin(s: Sample, opts: FitOptions | None = None) -> TailFit:
                    stderr=stderr, loglik=loglik, kind=s.kind)
 
 
-def _fit_at(s: Sample, xmin: float) -> TailFit:
-    """Fit above a fixed threshold (no scan)."""
+def fit_at(s: Sample, xmin: float) -> TailFit:
+    """Fit the model of `s.kind` above a fixed threshold xmin (finite, > 0)."""
+    if not 0 < xmin < math.inf:
+        raise DomainError(f"xmin must be finite and > 0, got {xmin}")
+    xmin = float(xmin)
     tail = s.values[s.values >= xmin]
     if tail.size < 2:
         raise SampleTooSmall(f"fewer than 2 observations >= {xmin}")
@@ -415,18 +404,21 @@ def _fit_at(s: Sample, xmin: float) -> TailFit:
 
 # -- goodness of fit ----------------------------------------------------------
 
-def _one_replicate(s: Sample, fit: TailFit, opts: FitOptions, seed: int, idx: int):
+def _one_replicate(s: Sample, fit: TailFit, refit, seed: int, idx: int):
     rng = make_rng(seed, idx)
     n = len(s)
     body = s.values[s.values < fit.xmin]
     k = int(rng.binomial(n, fit.n_tail / n)) if body.size else n
-    tail_draws = pl_ppf(fit.model(), rng.random(k)) if k else np.empty(0)
+    with np.errstate(over="ignore"):  # a draw past the float range is inf
+        tail_draws = pl_ppf(fit.model(), rng.random(k)) if k else np.empty(0)
+    if not np.all(np.isfinite(tail_draws)):
+        return None  # pathological replicate counts against the null
     body_draws = rng.choice(body, size=n - k, replace=True) if n - k else np.empty(0)
     rep = Sample(values=np.concatenate([tail_draws, body_draws]), kind=s.kind)
     try:
-        return select_xmin(rep, opts).ks
+        return refit(rep).ks
     except (SampleTooSmall, DegenerateTail):
-        return None  # pathological replicate counts against the null
+        return None
 
 
 def check_n_boot(n_boot: int) -> None:
@@ -436,22 +428,24 @@ def check_n_boot(n_boot: int) -> None:
 
 
 def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
-               opts: FitOptions | None = None, workers: int = 1) -> GofResult:
+               refit=select_xmin, workers: int = 1) -> GofResult:
     """Semiparametric bootstrap p-value for the fitted tail.
 
     Each replicate draws |s| observations: with probability n_tail/n from the
     fitted power law above xmin, otherwise uniformly from the empirical body
-    below xmin. Replicates are refit with the same options, and the p-value
-    is the exact fraction with KS distance >= the observed one; a replicate
-    whose refit raises counts as >= and is reported in `n_failed`. Replicate
-    streams derive from (seed, index), so results do not depend on `workers`;
-    min(workers, n_boot, CPU count) processes run them. Raises KindMismatch,
-    before any replicate is drawn, when the fit's kind is not the sample's.
+    below xmin. Replicates are refit with `refit`, a picklable Sample ->
+    TailFit: the function that made `fit`, say `partial(fit_at, xmin=2.0)`.
+    The p-value is the exact fraction with KS distance >= the observed one;
+    a replicate whose draws overflow or whose refit raises counts as >= and
+    is reported in `n_failed`. Replicate streams derive from (seed, index),
+    so results do not depend on `workers`; min(workers, n_boot, CPU count)
+    processes run them. Raises KindMismatch, before any replicate is drawn,
+    when the fit's kind is not the sample's.
     """
     check_n_boot(n_boot)
     if fit.kind != s.kind:
         raise KindMismatch(f"a {fit.kind} fit cannot be tested on a {s.kind} sample")
-    replicate = partial(_one_replicate, s, fit, opts or FitOptions(), seed)
+    replicate = partial(_one_replicate, s, fit, refit, seed)
     workers = min(workers, n_boot, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, rarely needed

@@ -3,18 +3,18 @@
 Two generators close the loop between an exploration/exploitation mixture
 and the tail exponent of the resulting attention distribution:
 
-* the copy model: creators arrive one per step, each holding one unit of
-  attention, and a single attention event is allocated per step, uniformly
-  at random with probability gamma, else proportionally to attention
-  already granted by events (a flat urn of past events: copying an event
-  means copying its target). The per-creator counts (arrival unit plus
-  events received) develop a power-law tail with density exponent
-  1 + 1/(1 - gamma).
+* the copy model, `simulate_copy(n_nodes, gamma, seed)`: creators arrive
+  one per step, each holding one unit of attention, and a single attention
+  event is allocated per step, uniformly at random with probability gamma,
+  else proportionally to attention already granted by events (a flat urn
+  of past events: copying an event means copying its target). The
+  per-creator counts (arrival unit plus events received) develop a
+  power-law tail with density exponent 1 + 1/(1 - gamma).
 
-* the preferential-attachment graph: each new node wires m edges to
-  distinct existing nodes chosen proportionally to degree (urn of edge
-  endpoints, duplicate targets rejected). Its degree tail has CCDF
-  exponent 2, i.e. density exponent 3, independent of m.
+* the preferential-attachment graph, `simulate_ba(n_nodes, m, seed)`: each
+  new node wires m edges to distinct existing nodes chosen proportionally
+  to degree (urn of edge endpoints, duplicate targets rejected). Its degree
+  tail has CCDF exponent 2, i.e. density exponent 3, independent of m.
 
 Both are simulated without a per-event loop. A draw from an urn either
 lands on a value known in advance or on an earlier draw, so the draws form
@@ -35,13 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fit import FitOptions, TailFit, select_xmin
+from .fit import TailFit, select_xmin
 from .report import csv_table
 from .rng import make_rng
 from .sample import DISCRETE, empirical_ccdf, make_sample
 
 __all__ = [
-    "GrowthConfig",
     "DegreeSequence",
     "theoretical_alpha",
     "simulate_copy",
@@ -66,31 +65,6 @@ _BA_BLOCK_MIN = 256
 _BA_BLOCK_MAX = 8192
 _BA_BLOCK_DIV = 8
 _CSV_BLOCK = 65536  # counts per degrees_csv block: one block's str objects live at a time
-
-
-@dataclass(frozen=True)
-class GrowthConfig:
-    """Simulator parameters: which model, its size, and its mixing knobs."""
-
-    model: str
-    n_nodes: int
-    gamma: float = 0.0          # copy model: exploration probability
-    m: int = 1                  # ba model: edges per new node
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.model not in (COPY, BA):
-            raise DomainError(f"unknown model: {self.model!r}")
-        if self.model == COPY:
-            if not 0.0 <= self.gamma <= 1.0:
-                raise DomainError(f"gamma must lie in [0, 1], got {self.gamma}")
-            if self.n_nodes < 1000:
-                raise DomainError("copy model needs n_nodes >= 1000")
-        else:
-            if self.m < 1:
-                raise DomainError(f"m must be >= 1, got {self.m}")
-            if self.n_nodes <= self.m:
-                raise DomainError("ba model needs n_nodes > m")
 
 
 @dataclass(frozen=True)
@@ -133,13 +107,15 @@ def _roots(ptr: np.ndarray) -> np.ndarray:
         ptr, nxt = nxt, ptr
 
 
-def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
-    """Run the copy model; deterministic for a fixed config seed.
+def simulate_copy(n_nodes: int, gamma: float = 0.0, seed: int = 0) -> DegreeSequence:
+    """Run the copy model on n_nodes >= 1000 creators with exploration
+    probability gamma in [0, 1]; deterministic for a fixed seed.
 
     Sequential growth: at step t creator t arrives holding one unit of
     attention, then one attention event is allocated, uniformly over the
-    t+1 existing creators with probability gamma (floored, see module
-    docstring), otherwise to the owner of a uniformly drawn past event.
+    t+1 existing creators with probability max(gamma, EXPLORATION_FLOOR)
+    (see module docstring), otherwise to the owner of a uniformly drawn
+    past event.
     counts therefore sums to n_nodes (arrival units) + steps exactly.
 
     The past event drawn at step t >= 2 is step int(u * (t - 1)) + 1, whose
@@ -148,13 +124,13 @@ def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     do: the urn is empty at step 1), and pointer jumping to the exploring
     ancestor resolves all targets at once from the same draws.
     """
-    if cfg.model != COPY:
-        raise DomainError("config is not a copy-model config")
-    n = cfg.n_nodes
-    g = cfg.gamma if cfg.gamma >= EXPLORATION_FLOOR else EXPLORATION_FLOOR
-    if cfg.gamma == 1.0:
-        g = 1.0
-    rng = make_rng(cfg.seed)
+    if not 0.0 <= gamma <= 1.0:
+        raise DomainError(f"gamma must lie in [0, 1], got {gamma}")
+    if n_nodes < 1000:
+        raise DomainError("copy model needs n_nodes >= 1000")
+    n = n_nodes
+    g = max(gamma, EXPLORATION_FLOOR)
+    rng = make_rng(seed)
     u_branch = rng.random(n)
     u_pick = rng.random(n)
     explore = u_branch < g
@@ -174,8 +150,10 @@ def simulate_copy(cfg: GrowthConfig) -> DegreeSequence:
     return DegreeSequence(counts=counts, steps=n - 1)
 
 
-def simulate_ba(cfg: GrowthConfig) -> DegreeSequence:
-    """Grow a preferential-attachment graph from a complete seed graph.
+def simulate_ba(n_nodes: int, m: int = 1, seed: int = 0) -> DegreeSequence:
+    """Grow a preferential-attachment graph of n_nodes > m nodes, each
+    arrival wiring m >= 1 edges, from a complete seed graph; deterministic
+    for a fixed seed.
 
     Each of the n - (m+1) arriving nodes attaches m edges to distinct
     existing nodes drawn from the edge-endpoint urn (one entry per endpoint,
@@ -190,10 +168,12 @@ def simulate_ba(cfg: GrowthConfig) -> DegreeSequence:
     node whose m targets repeat; that node is redrawn sequentially, with its
     rejections, and the next block starts after the draws it consumed.
     """
-    if cfg.model != BA:
-        raise DomainError("config is not a ba-model config")
-    n, m = cfg.n_nodes, cfg.m
-    rng = make_rng(cfg.seed)
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if n_nodes <= m:
+        raise DomainError("ba model needs n_nodes > m")
+    n = n_nodes
+    rng = make_rng(seed)
     n_edges = m * (m + 1) // 2 + m * (n - m - 1)
     seed_len = m * (m + 1)
     urn = np.zeros(2 * n_edges, dtype=np.int64)
@@ -237,9 +217,9 @@ def simulate_ba(cfg: GrowthConfig) -> DegreeSequence:
     return DegreeSequence(counts=np.bincount(urn, minlength=n), steps=n_edges)
 
 
-def measure_exponent(d: DegreeSequence, opts: FitOptions | None = None) -> TailFit:
+def measure_exponent(d: DegreeSequence, min_tail: int = 50) -> TailFit:
     """Discrete tail fit of the positive counts of a run."""
-    return select_xmin(make_sample(d.counts, kind=DISCRETE), opts)
+    return select_xmin(make_sample(d.counts, kind=DISCRETE), min_tail)
 
 
 def gamma_sweep(gammas, n_nodes: int, seeds_per_gamma: int, seed: int):
@@ -258,8 +238,7 @@ def gamma_sweep(gammas, n_nodes: int, seeds_per_gamma: int, seed: int):
         alphas = []
         for r in range(seeds_per_gamma):
             run_seed = int(make_rng(seed, gi, r).integers(2**63))
-            cfg = GrowthConfig(model=COPY, n_nodes=n_nodes, gamma=g, seed=run_seed)
-            alphas.append(measure_exponent(simulate_copy(cfg)).alpha)
+            alphas.append(measure_exponent(simulate_copy(n_nodes, g, run_seed)).alpha)
         mean = float(np.mean(alphas))
         sd = float(np.std(alphas, ddof=1)) if len(alphas) > 1 else 0.0
         rows.append((g, theoretical_alpha(g), mean, sd, len(alphas)))

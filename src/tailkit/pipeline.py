@@ -30,7 +30,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DegenerateTail, DomainError, SampleTooSmall, SchemaError, SingularDesign
-from .fit import (FitOptions, check_n_boot, fit_report, gof_pvalue,
+from .fit import (check_min_tail, check_n_boot, fit_report, gof_pvalue,
                   power_law_proportion, select_xmin)
 from .report import (
     LINEAR,
@@ -557,18 +557,18 @@ def nsfw_table_csv(rows) -> str:
 
 # -- tail fits and the whole run --------------------------------------------------------
 
-def fit_groups(samples: dict, opts: FitOptions):
+def fit_groups(samples: dict, min_tail: int):
     """Threshold-scan fit of each sample. Returns (fits, skipped): fits keyed
     like `samples`, and the reason for each other group keyed by its label
     (`platform/year` for tuple keys). A group is skipped, with a line on
-    stderr, when it holds fewer than `opts.min_tail` values or its scan
+    stderr, when it holds fewer than `min_tail` values or its scan
     raises SampleTooSmall or DegenerateTail."""
     fits, skipped = {}, {}
     for key, s in samples.items():
         try:
-            if len(s) < opts.min_tail:
+            if len(s) < min_tail:
                 raise SampleTooSmall(f"only {len(s)} observations")
-            fits[key] = select_xmin(s, opts)
+            fits[key] = select_xmin(s, min_tail)
         except (SampleTooSmall, DegenerateTail) as exc:
             label = "/".join(map(str, key)) if isinstance(key, tuple) else key
             skipped[label] = str(exc)
@@ -591,7 +591,8 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         check_n_boot(bootstrap)
     if not math.isfinite(floor):
         raise DomainError(f"floor must be a finite number, got {floor}")
-    opts = FitOptions(min_tail=min_tail)
+    check_min_tail(min_tail)
+    refit = partial(select_xmin, min_tail=min_tail)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -629,19 +630,19 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     skipped = {}
     figures = {}
     figure_inputs = {}  # figure name -> sha256 of the fit report it draws
-    fits, skipped[PLATFORM] = fit_groups(buckets, opts)
+    fits, skipped[PLATFORM] = fit_groups(buckets, min_tail)
     for p, fit in fits.items():
         s = buckets[p]
         gof = None
         if bootstrap:
-            gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, opts=opts,
+            gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, refit=refit,
                              workers=workers)
         write(f"fits/{p}.json", _json(fit_report(fit, n=len(s), gof=gof, seed=seed)))
         figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
         figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]
 
     fits_by_year, skipped[PLATFORM_YEAR] = fit_groups(
-        group_samples(records, PLATFORM_YEAR), opts)
+        group_samples(records, PLATFORM_YEAR), min_tail)
     if fits_by_year:
         pooled_rows, year_rows = alpha_panel(fits_by_year)
         write("alpha_by_platform.csv", csv_table(("platform", "alpha_mean"), pooled_rows))
@@ -667,7 +668,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         figures["power_law_proportion"] = [ranked]
 
     cat_samples = group_samples(records, CATEGORY)
-    cat_fits, skipped[CATEGORY] = fit_groups(cat_samples, opts)
+    cat_fits, skipped[CATEGORY] = fit_groups(cat_samples, min_tail)
     if cat_fits:
         rows, simple, weighted = category_panel(
             cat_fits, {c: len(cat_samples[c]) for c in cat_fits})

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySample, KindMismatch
+from .errors import DomainError, EmptySample, KindMismatch
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -20,7 +20,8 @@ class Sample:
     """Sorted positive observations plus the kind of support they live on.
 
     Tail fits follow `kind`; a discrete sample must hold integers, else
-    construction raises KindMismatch. `n_rejected` records how many raw
+    construction raises KindMismatch. An unknown kind, a non-finite value or
+    one <= 0 raises DomainError. `n_rejected` records how many raw
     inputs were dropped during construction (non-finite, zero or negative
     values).
     """
@@ -31,18 +32,18 @@ class Sample:
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, DISCRETE):
-            raise ValueError(f"unknown sample kind: {self.kind!r}")
+            raise DomainError(f"unknown sample kind: {self.kind!r}")
         v = np.asarray(self.values, dtype=float).ravel()
         if v.size == 0:
             raise EmptySample("sample needs at least one observation")
         if not np.all(np.isfinite(v)):
-            raise ValueError("sample values must be finite")
+            raise DomainError("sample values must be finite")
         if np.all(v[1:] >= v[:-1]):
             v = v.copy()  # detach from caller before freezing
         else:
             v = np.sort(v)
         if v[0] <= 0:
-            raise ValueError("sample values must be > 0")
+            raise DomainError("sample values must be > 0")
         if self.kind == DISCRETE:
             bad = v[v != np.floor(v)]
             if bad.size:

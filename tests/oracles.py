@@ -31,18 +31,16 @@ import math
 import numpy as np
 
 from tailkit import fit, growth
-from tailkit.errors import DegenerateTail, DomainError, SampleTooSmall, SchemaError
+from tailkit.errors import DegenerateTail, SampleTooSmall, SchemaError
 from tailkit.fit import (
-    FitOptions,
     TailFit,
     _candidate_indices,
     _distinct_stats,
-    _fit_at,
     _mle_discrete,
     mle_alpha_continuous,
     mle_alpha_discrete,
 )
-from tailkit.growth import BA, COPY, DegreeSequence, GrowthConfig
+from tailkit.growth import DegreeSequence
 from tailkit.pipeline import (
     CATEGORY,
     CSV_COLUMNS,
@@ -132,23 +130,19 @@ def select_xmin_naive(values, min_tail=50, ks_allowance=0.2):
     raise AssertionError("unreachable")
 
 
-def select_xmin_exhaustive(s, opts=None):
+def select_xmin_exhaustive(s, min_tail=50):
     """Threshold scan with a full KS pass over every candidate's distinct tail.
 
     The candidate cap and the KS allowance are read from `tailkit.fit` at
     call time, so a test that patches them there patches them here too.
     """
-    opts = opts or FitOptions()
     x = s.values
     n = x.size
-    if n < opts.min_tail:
-        raise SampleTooSmall(f"need >= {opts.min_tail} observations, got {n}")
-
-    if opts.xmin_override is not None:
-        return _fit_at(s, float(opts.xmin_override))
+    if n < min_tail:
+        raise SampleTooSmall(f"need >= {min_tail} observations, got {n}")
 
     dv, dcount, dcum, dt, wsuffix = _distinct_stats(x)
-    cand = _candidate_indices(dv, dcum, n, opts.min_tail)
+    cand = _candidate_indices(dv, dcum, n, min_tail)
     if cand.size == 0:
         raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
 
@@ -279,8 +273,8 @@ def discrete_ppf_naive(alpha, xmin, u):
         x += 1
 
 
-def simulate_copy_loop(cfg: GrowthConfig) -> DegreeSequence:
-    """Run the copy model; deterministic for a fixed config seed.
+def simulate_copy_loop(n_nodes, gamma=0.0, seed=0) -> DegreeSequence:
+    """Run the copy model; deterministic for a fixed seed.
 
     Sequential growth: at step t creator t arrives holding one unit of
     attention, then one attention event is allocated, uniformly over the
@@ -289,14 +283,12 @@ def simulate_copy_loop(cfg: GrowthConfig) -> DegreeSequence:
     owner of a uniformly drawn past event. counts therefore sums to n_nodes
     (arrival units) + steps exactly.
     """
-    if cfg.model != COPY:
-        raise DomainError("config is not a copy-model config")
-    n = cfg.n_nodes
+    n = n_nodes
     floor = growth.EXPLORATION_FLOOR
-    g = cfg.gamma if cfg.gamma >= floor else floor
-    if cfg.gamma == 1.0:
+    g = gamma if gamma >= floor else floor
+    if gamma == 1.0:
         g = 1.0
-    rng = make_rng(cfg.seed)
+    rng = make_rng(seed)
     u_branch = rng.random(n)
     u_pick = rng.random(n)
     counts = np.ones(n, dtype=np.int64)  # each creator's arrival unit
@@ -313,7 +305,7 @@ def simulate_copy_loop(cfg: GrowthConfig) -> DegreeSequence:
     return DegreeSequence(counts=counts, steps=n - 1)
 
 
-def simulate_ba_loop(cfg: GrowthConfig) -> DegreeSequence:
+def simulate_ba_loop(n_nodes, m=1, seed=0) -> DegreeSequence:
     """Grow a preferential-attachment graph from a complete seed graph.
 
     Each of the n - (m+1) arriving nodes attaches m edges to distinct
@@ -321,10 +313,8 @@ def simulate_ba_loop(cfg: GrowthConfig) -> DegreeSequence:
     so a draw lands on a node with probability proportional to its degree);
     duplicate targets are redrawn. Degree sum equals twice the edge count.
     """
-    if cfg.model != BA:
-        raise DomainError("config is not a ba-model config")
-    n, m = cfg.n_nodes, cfg.m
-    rng = make_rng(cfg.seed)
+    n = n_nodes
+    rng = make_rng(seed)
     deg = np.zeros(n, dtype=np.int64)
     n_edges = m * (m + 1) // 2 + m * (n - m - 1)
     urn = np.empty(2 * n_edges, dtype=np.int64)

@@ -9,15 +9,15 @@ import json
 import math
 import os
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 from tailkit.cli import main as cli_main
 from tailkit.estimators import estimator_comparison
-from tailkit.fit import FitOptions, gof_pvalue, select_xmin
+from tailkit.fit import gof_pvalue, select_xmin
 from tailkit.growth import (
-    GrowthConfig,
     ccdf_slope,
     gamma_sweep,
     measure_exponent,
@@ -88,7 +88,7 @@ def test_criterion_2_copy_model_matches_theory():
 def test_criterion_3_ba_model_matches_theory():
     slopes, alphas = [], []
     for seed in (1, 2, 3, 4, 5):
-        d = simulate_ba(GrowthConfig(model="ba", n_nodes=200_000, m=2, seed=seed))
+        d = simulate_ba(200_000, m=2, seed=seed)
         slopes.append(ccdf_slope(d, 10.0, 500.0))
         alphas.append(measure_exponent(d).alpha)
     slope, alpha = float(np.mean(slopes)), float(np.mean(alphas))
@@ -140,22 +140,22 @@ def test_criterion_5_goodness_of_fit_calibration():
     # the plausibility verdict is about the bulk tail, so the fitted tail is
     # required to cover at least a tenth of the sample; otherwise the scan
     # can escape to a sliver where any steep model passes
-    opts_pl = FitOptions(min_tail=250)
+    fit_pl = partial(select_xmin, min_tail=250)
     plausible = 0
     for i in range(20):
         s = pl_sample(PowerLawModel(alpha=2.3, xmin=1.0), 2500, seed=300 + i)
-        fit = select_xmin(s, opts_pl)
-        g = gof_pvalue(s, fit, n_boot=100, seed=300 + i, opts=opts_pl,
+        fit = fit_pl(s)
+        g = gof_pvalue(s, fit, n_boot=100, seed=300 + i, refit=fit_pl,
                        workers=_WORKERS)
         plausible += g.p_value >= 0.1
 
-    opts_exp = FitOptions(min_tail=500)
+    fit_exp = partial(select_xmin, min_tail=500)
     rejected = 0
     for i in range(20):
         rng = make_rng(400 + i)
         s = make_sample(rng.exponential(3.0, 5000) + 1.0)
-        fit = select_xmin(s, opts_exp)
-        g = gof_pvalue(s, fit, n_boot=100, seed=400 + i, opts=opts_exp,
+        fit = fit_exp(s)
+        g = gof_pvalue(s, fit, n_boot=100, seed=400 + i, refit=fit_exp,
                        workers=_WORKERS)
         rejected += g.p_value < 0.1
 
@@ -230,9 +230,8 @@ def test_criterion_9_performance():
     select_xmin(s)
     t_fit = time.perf_counter() - t0
 
-    cfg = GrowthConfig(model="copy", n_nodes=1_000_000, gamma=0.3, seed=3)
     t0 = time.perf_counter()
-    simulate_copy(cfg)
+    simulate_copy(1_000_000, gamma=0.3, seed=3)
     t_sim = time.perf_counter() - t0
 
     ok = t_fit <= 10.0 and t_sim <= 5.0

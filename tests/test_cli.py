@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,7 +61,42 @@ def test_fit_xmin_outside_its_domain_exit_code(pareto_file, xmin, capsys):
     code, out, err = run_cli(capsys, "fit", str(pareto_file), f"--xmin={xmin}")
     assert code == 2
     assert out == ""
-    assert "error: xmin_override must be finite and > 0" in err
+    assert "error: xmin must be finite and > 0" in err
+
+
+def test_fit_xmin_still_checks_min_tail(pareto_file, capsys):
+    code, out, err = run_cli(capsys, "fit", str(pareto_file), "--min-tail", "1",
+                             "--xmin", "3")
+    assert (code, out) == (2, "")
+    assert "error: min_tail must be >= 2, got 1" in err
+    code, out, err = run_cli(capsys, "fit", str(pareto_file), "--min-tail", "20001",
+                             "--xmin", "3")
+    assert (code, out) == (3, "")
+    assert "error: need >= 20001 observations, got 20000" in err
+
+
+def test_fit_xmin_bootstrap_is_worker_invariant(pareto_file, monkeypatch, capsys):
+    # the replicates refit above the same fixed xmin in worker processes too
+    reports = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("TAILKIT_WORKERS", workers)
+        code, out, err = run_cli(capsys, "fit", str(pareto_file), "--xmin", "3",
+                                 "--bootstrap", "100")
+        assert code == 0, err
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["xmin"] == 3.0 and reports[0]["n_failed"] == 0
+
+
+def test_fit_bootstrap_survives_overflowing_draws(tmp_path, capsys):
+    # alpha = 1.0138 above xmin ~ 1.7e236: the replicates' draws overflow
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(map(repr, (10 ** np.random.default_rng(0).uniform(
+        0, 300, 3000)).tolist())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", str(path), "--bootstrap", "100")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["n_failed"], report["p_value"]) == (100, 1.0)
 
 
 def test_fit_missing_file_is_io_error(capsys):
@@ -381,6 +418,16 @@ def test_workers_variable_must_be_positive(workers, pareto_file, monkeypatch, ca
     assert f"error: TAILKIT_WORKERS must be >= 1, got {workers}" in err
 
 
+@pytest.mark.parametrize("workers", ["abc", "0"])
+def test_fit_reads_the_workers_variable_before_any_work(workers, monkeypatch, capsys):
+    monkeypatch.setenv("TAILKIT_WORKERS", workers)
+    monkeypatch.setattr(cli, "_read_column", None)  # no input is read
+    monkeypatch.setattr(cli, "select_xmin", None)  # and no scan runs
+    code, out, err = run_cli(capsys, "fit", "unread.csv", "--bootstrap", "100")
+    assert (code, out) == (2, "")
+    assert "error: TAILKIT_WORKERS must be" in err
+
+
 # the documented exit code of every error class: 1 I/O, 2 schema or
 # configuration, 3 sample too small, 4 degenerate data
 DOCUMENTED_EXIT_CODES = {
@@ -524,3 +571,16 @@ def test_earnings_demo_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Spearman rho" in proc.stdout
     assert (tmp_path / "ccdf_demo.svg").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("example", re.findall(r"```python\n(.*?)```",
+                                               README.read_text(encoding="utf-8"), re.S),
+                         ids=["run_pipeline", "quick_start"])
+def test_readme_python_example_runs(example, tmp_path):
+    (tmp_path / "data").mkdir()
+    shutil.copy(README.parent / "data" / "earnings_fixture.csv", tmp_path / "data")
+    proc = _run_python("-c", example, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr

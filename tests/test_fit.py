@@ -16,18 +16,18 @@ from tailkit.fit import (
     _LB_MARGIN,
     _LB_POINTS,
     _LB_REFINE,
-    FitOptions,
     _Candidates,
     _candidate_indices,
     _distinct_stats,
     _mle_discrete,
+    fit_at,
     fit_report,
     mle_alpha_continuous,
     mle_alpha_discrete,
     power_law_proportion,
     select_xmin,
 )
-from tailkit.growth import GrowthConfig, simulate_ba, simulate_copy
+from tailkit.growth import simulate_ba, simulate_copy
 from tailkit.powerlaw import PowerLawModel, hurwitz_zeta, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import CONTINUOUS, DISCRETE, make_sample
@@ -140,7 +140,7 @@ def test_mle_discrete_batch_equals_one_element_calls(n, seed, min_tail):
 
 def test_discrete_candidates_share_one_search(monkeypatch):
     # 383 candidates: one batched golden-section search, not one per candidate
-    d = simulate_copy(GrowthConfig(model="copy", n_nodes=1_000_000, gamma=0.2, seed=4))
+    d = simulate_copy(1_000_000, gamma=0.2, seed=4)
     calls = []
 
     def counting(s, q):
@@ -148,7 +148,7 @@ def test_discrete_candidates_share_one_search(monkeypatch):
         return hurwitz_zeta(s, q)
 
     monkeypatch.setattr("tailkit.fit.hurwitz_zeta", counting)
-    c = _Candidates(make_sample(d.counts, kind="discrete"), FitOptions())
+    c = _Candidates(make_sample(d.counts, kind="discrete"), 50)
     assert c.k0.size > 300
     assert len(calls) < 100
 
@@ -217,9 +217,9 @@ def test_select_xmin_rescaling_invariance():
     assert fit2.alpha == pytest.approx(fit1.alpha, abs=1e-9)
 
 
-def test_select_xmin_override_skips_scan():
+def test_fit_at_skips_scan():
     s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 5000, seed=3)
-    fit = select_xmin(s, FitOptions(xmin_override=2.0))
+    fit = fit_at(s, 2.0)
     assert fit.xmin == 2.0
     assert fit.n_tail == int((s.values >= 2.0).sum())
 
@@ -251,14 +251,14 @@ def _uncapped(n):
     return n + 1
 
 
-def _same_outcome(s, opts):
+def _same_outcome(s, min_tail):
     try:
-        expected = select_xmin_exhaustive(s, opts)
+        expected = select_xmin_exhaustive(s, min_tail)
     except (SampleTooSmall, DegenerateTail) as exc:
         with pytest.raises(type(exc)):
-            select_xmin(s, opts)
+            select_xmin(s, min_tail)
         return
-    assert select_xmin(s, opts) == expected
+    assert select_xmin(s, min_tail) == expected
 
 
 @settings(deadline=None, max_examples=150)
@@ -277,7 +277,7 @@ def test_pruned_scan_equals_exhaustive_scan(gen, n, seed, min_tail, cap, allowan
     allowances = {} if allowance == "default" else {CONTINUOUS: allowance, DISCRETE: allowance}
     with (patch.object(fit_module, "_CANDIDATE_CAP", cap),
           patch.dict(fit_module._KS_ALLOWANCE, allowances)):
-        _same_outcome(s, FitOptions(min_tail=min_tail))
+        _same_outcome(s, min_tail)
 
 
 @pytest.mark.parametrize("case", ["spliced_30k", "frechet_300k", "copy_degrees", "ba_degrees"])
@@ -287,10 +287,10 @@ def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
     elif case == "frechet_300k":
         s = make_sample((-np.log(make_rng(2).random(300_000))) ** (-1 / 1.5))
     elif case == "copy_degrees":
-        d = simulate_copy(GrowthConfig(model="copy", n_nodes=100_000, gamma=0.2, seed=4))
+        d = simulate_copy(100_000, gamma=0.2, seed=4)
         s = make_sample(d.counts, kind="discrete")
     else:
-        d = simulate_ba(GrowthConfig(model="ba", n_nodes=30_000, m=2, seed=4))
+        d = simulate_ba(30_000, m=2, seed=4)
         s = make_sample(d.counts, kind="discrete")
     assert select_xmin(s) == select_xmin_exhaustive(s)
 
@@ -305,7 +305,7 @@ def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap)
     s = _scan_input(gen, n, seed)
     try:
         with patch.object(fit_module, "_CANDIDATE_CAP", _uncapped(n) if cap == "all" else cap):
-            c = _Candidates(s, FitOptions(min_tail=2))
+            c = _Candidates(s, 2)
     except (SampleTooSmall, DegenerateTail):
         return
     idx = np.arange(c.k0.size)
@@ -324,7 +324,7 @@ def test_lower_bounds_never_exceed_exact_ks(gen):
     for seed in range(5):
         s = _scan_input(gen, 3000, 700 + seed)
         with patch.object(fit_module, "_CANDIDATE_CAP", _uncapped(3000)):
-            c = _Candidates(s, FitOptions())
+            c = _Candidates(s, 50)
         idx = np.arange(c.k0.size)
         exact = np.array([c.exact_ks(i) for i in idx])
         coarse = -(-(c.dv.size - c.k0) // _LB_POINTS)
@@ -380,7 +380,7 @@ def test_power_law_proportion_exact():
 def test_power_law_proportion_half():
     vals = np.concatenate([np.linspace(1, 2, 500), np.linspace(10, 20, 500)])
     s = make_sample(vals)
-    fit = select_xmin(s, FitOptions(xmin_override=10.0))
+    fit = fit_at(s, 10.0)
     assert power_law_proportion(s, fit) == 0.5
 
 
@@ -392,9 +392,12 @@ def test_fit_report_fields():
     assert rep["n"] == 1000 and rep["kind"] == "continuous"
 
 
-def test_fit_options_validation():
-    with pytest.raises(DomainError):
-        FitOptions(min_tail=1)
+def test_fit_argument_validation():
+    s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 100, seed=3)
+    with pytest.raises(DomainError, match="min_tail must be >= 2, got 1"):
+        select_xmin(s, min_tail=1)
+    with pytest.raises(SampleTooSmall, match="need >= 101 observations, got 100"):
+        select_xmin(s, min_tail=101)
     for xmin in (0.0, -2.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="xmin_override must be finite and > 0"):
-            FitOptions(xmin_override=xmin)
+        with pytest.raises(DomainError, match="xmin must be finite and > 0"):
+            fit_at(s, xmin)

@@ -1,12 +1,13 @@
 import concurrent.futures
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import tailkit.fit
 from tailkit.errors import DegenerateTail, DomainError, KindMismatch
-from tailkit.fit import FitOptions, fit_report, gof_pvalue, select_xmin
+from tailkit.fit import fit_at, fit_report, gof_pvalue, select_xmin
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
@@ -98,27 +99,37 @@ def test_gof_rejects_a_fit_of_another_kind(pareto_fit, monkeypatch):
 def test_gof_all_tail_sample():
     # xmin at the sample minimum: body is empty, every draw is a tail draw
     s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 2000, seed=9)
-    fit = select_xmin(s, FitOptions(xmin_override=s.min))
+    fit = fit_at(s, s.min)
     g = gof_pvalue(s, fit, n_boot=100, seed=2)
     assert 0.0 <= g.p_value <= 1.0
 
 
-def test_gof_reports_failed_replicates(pareto_fit, monkeypatch):
+def test_gof_reports_failed_replicates(pareto_fit):
     s, fit = pareto_fit
     base = gof_pvalue(s, fit, n_boot=100, seed=4)
     calls = []
 
-    def first_three_fail(sample, opts=None):
+    def first_three_fail(sample):
         calls.append(1)
         if len(calls) <= 3:
             raise DegenerateTail("forced")
-        return select_xmin(sample, opts)
+        return select_xmin(sample)
 
-    monkeypatch.setattr(tailkit.fit, "select_xmin", first_three_fail)
-    g = gof_pvalue(s, fit, n_boot=100, seed=4)
+    g = gof_pvalue(s, fit, n_boot=100, seed=4, refit=first_three_fail)
     assert g.n_failed == 3
     # a failed replicate counts as a KS at least the observed one
     assert g.p_value >= 0.03
     assert g.p_value >= base.p_value - 0.03
     rep = fit_report(fit, n=len(s), gof=g)
     assert rep["n_failed"] == 3 and rep["p_value"] == g.p_value
+
+
+def test_gof_counts_overflowing_draws_as_failed_replicates():
+    # alpha = 1.0138 above xmin ~ 1.7e236: every replicate draws values past
+    # the float range, which would make no Sample
+    s = make_sample(10 ** np.random.default_rng(0).uniform(0, 300, 3000))
+    fit = select_xmin(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is handled, not reported
+        g = gof_pvalue(s, fit, n_boot=100, seed=1)
+    assert (g.n_failed, g.p_value) == (100, 1.0)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -7,12 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from tailkit import growth
 from tailkit.errors import DomainError, SampleTooSmall
-from tailkit.fit import FitOptions, gof_pvalue, select_xmin
+from tailkit.fit import gof_pvalue, select_xmin
 from tailkit.growth import (
     BA,
     COPY,
     DegreeSequence,
-    GrowthConfig,
     ccdf_slope,
     degrees_csv,
     gamma_sweep,
@@ -53,33 +53,36 @@ def test_theoretical_alpha_domain():
         theoretical_alpha(1.5)
 
 
-# -- config validation -------------------------------------------------------------
+# -- parameter validation ----------------------------------------------------------
 
-def test_growth_config_validation():
-    with pytest.raises(DomainError):
-        GrowthConfig(model="copy", n_nodes=2000, gamma=1.5)
-    with pytest.raises(DomainError):
-        GrowthConfig(model="copy", n_nodes=10, gamma=0.2)
-    with pytest.raises(DomainError):
-        GrowthConfig(model="ba", n_nodes=2, m=2)
-    with pytest.raises(DomainError):
-        GrowthConfig(model="wat", n_nodes=100)
+def test_simulator_parameter_validation():
+    with pytest.raises(DomainError, match="gamma must lie in"):
+        simulate_copy(2000, gamma=1.5)
+    with pytest.raises(DomainError, match="n_nodes >= 1000"):
+        simulate_copy(10, gamma=0.2)
+    with pytest.raises(DomainError, match="m must be >= 1"):
+        simulate_ba(100, m=0)
+    with pytest.raises(DomainError, match="n_nodes > m"):
+        simulate_ba(2, m=2)
+    # each simulator takes only its own model's parameter
+    with pytest.raises(TypeError):
+        simulate_copy(2000, m=7)
+    with pytest.raises(TypeError):
+        simulate_ba(2000, gamma=0.2)
 
 
 # -- copy model ---------------------------------------------------------------------
 
 def test_copy_conservation_exact():
-    cfg = GrowthConfig(model=COPY, n_nodes=5000, gamma=0.3, seed=4)
-    d = simulate_copy(cfg)
+    d = simulate_copy(5000, gamma=0.3, seed=4)
     # one arrival unit per creator plus one event per step
-    assert d.steps == cfg.n_nodes - 1
-    assert d.counts.sum() == cfg.n_nodes + d.steps
+    assert d.steps == 5000 - 1
+    assert d.counts.sum() == 5000 + d.steps
     assert d.counts.min() >= 1
 
 
 def test_copy_deterministic():
-    cfg = GrowthConfig(model=COPY, n_nodes=3000, gamma=0.4, seed=9)
-    a, b = simulate_copy(cfg), simulate_copy(cfg)
+    a, b = simulate_copy(3000, gamma=0.4, seed=9), simulate_copy(3000, gamma=0.4, seed=9)
     assert np.array_equal(a.counts, b.counts)
 
 
@@ -87,55 +90,49 @@ def test_copy_gamma_one_is_uniform():
     # pure exploration: thin, exponential-type tail; with the fitted tail
     # required to hold a substantive share of the data, the power-law null
     # should be rejected for nearly all seeds
-    opts = FitOptions(min_tail=2000)
+    refit = partial(select_xmin, min_tail=2000)
     rejected = 0
     for seed in range(10):
-        cfg = GrowthConfig(model=COPY, n_nodes=100_000, gamma=1.0, seed=100 + seed)
-        d = simulate_copy(cfg)
+        d = simulate_copy(100_000, gamma=1.0, seed=100 + seed)
         s = make_sample(d.counts, kind=DISCRETE)
-        fit = select_xmin(s, opts)
-        g = gof_pvalue(s, fit, n_boot=100, seed=seed, opts=opts)
+        fit = refit(s)
+        g = gof_pvalue(s, fit, n_boot=100, seed=seed, refit=refit)
         rejected += g.p_value < 0.1
     assert rejected >= 8
 
 
 def test_copy_exponent_tracks_gamma():
-    cfg = GrowthConfig(model=COPY, n_nodes=200_000, gamma=0.2, seed=29)
-    fit = measure_exponent(simulate_copy(cfg))
+    fit = measure_exponent(simulate_copy(200_000, gamma=0.2, seed=29))
     assert fit.alpha == pytest.approx(2.25, abs=0.15)
 
 
 # -- ba model -----------------------------------------------------------------------
 
 def test_ba_handshake_identity():
-    cfg = GrowthConfig(model=BA, n_nodes=10_000, m=2, seed=1)
-    d = simulate_ba(cfg)
+    d = simulate_ba(10_000, m=2, seed=1)
     assert d.counts.sum() == 2 * d.steps
     assert d.steps == 3 + 2 * (10_000 - 3)
 
 
 def test_ba_min_degree_is_m():
-    cfg = GrowthConfig(model=BA, n_nodes=5000, m=3, seed=7)
-    d = simulate_ba(cfg)
+    d = simulate_ba(5000, m=3, seed=7)
     assert d.counts.min() >= 3
 
 
 def test_ba_deterministic():
-    cfg = GrowthConfig(model=BA, n_nodes=2000, m=2, seed=11)
-    assert np.array_equal(simulate_ba(cfg).counts, simulate_ba(cfg).counts)
+    assert np.array_equal(simulate_ba(2000, m=2, seed=11).counts,
+                          simulate_ba(2000, m=2, seed=11).counts)
 
 
 def test_ba_ccdf_slope_near_minus_two():
-    cfg = GrowthConfig(model=BA, n_nodes=200_000, m=2, seed=1)
-    d = simulate_ba(cfg)
+    d = simulate_ba(200_000, m=2, seed=1)
     assert ccdf_slope(d, 10, 500) == pytest.approx(-2.0, abs=0.1)
 
 
 def test_ba_small_run_fit_contract():
     # m=1 trees at small n either fit with a full-size tail or
     # refuse cleanly; both are acceptable outcomes
-    cfg = GrowthConfig(model=BA, n_nodes=1000, m=1, seed=13)
-    d = simulate_ba(cfg)
+    d = simulate_ba(1000, m=1, seed=13)
     try:
         fit = measure_exponent(d)
         assert fit.n_tail >= 50
@@ -150,9 +147,9 @@ def test_ba_small_run_fit_contract():
 @pytest.mark.parametrize("n", [1000, 1001, 200_000])
 def test_copy_equals_loop_oracle(gamma, floor, n):
     for seed in (0, 17) if n < 10_000 else (3,):
-        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed)
         with patch.object(growth, "EXPLORATION_FLOOR", floor):
-            assert np.array_equal(simulate_copy(cfg).counts, simulate_copy_loop(cfg).counts)
+            assert np.array_equal(simulate_copy(n, gamma, seed).counts,
+                                  simulate_copy_loop(n, gamma, seed).counts)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -161,8 +158,8 @@ def test_ba_equals_loop_oracle(m):
     # so its redraws run past the buffered uniforms
     for n in sorted({m + 1, m + 2, 10, 2000}):
         for seed in range(4):
-            cfg = GrowthConfig(model=BA, n_nodes=n, m=m, seed=seed)
-            assert np.array_equal(simulate_ba(cfg).counts, simulate_ba_loop(cfg).counts)
+            assert np.array_equal(simulate_ba(n, m, seed).counts,
+                                  simulate_ba_loop(n, m, seed).counts)
 
 
 @settings(deadline=None, max_examples=60)
@@ -174,12 +171,10 @@ def test_ba_equals_loop_oracle(m):
        seed=st.integers(min_value=0, max_value=2**32))
 def test_simulators_equal_loop_oracles(model, n, gamma, floor, m, seed):
     if model == COPY:
-        cfg = GrowthConfig(model=COPY, n_nodes=n, gamma=gamma, seed=seed)
         with patch.object(growth, "EXPLORATION_FLOOR", floor):
-            fast, loop = simulate_copy(cfg), simulate_copy_loop(cfg)
+            fast, loop = simulate_copy(n, gamma, seed), simulate_copy_loop(n, gamma, seed)
     else:
-        cfg = GrowthConfig(model=BA, n_nodes=n, m=m, seed=seed)
-        fast, loop = simulate_ba(cfg), simulate_ba_loop(cfg)
+        fast, loop = simulate_ba(n, m, seed), simulate_ba_loop(n, m, seed)
     assert np.array_equal(fast.counts, loop.counts)
     assert fast.steps == loop.steps
 
@@ -197,9 +192,8 @@ def test_philox_scalar_draws_equal_block_draws():
 # -- measurement ----------------------------------------------------------------------
 
 def test_measure_exponent_deterministic():
-    cfg = GrowthConfig(model=COPY, n_nodes=50_000, gamma=0.3, seed=5)
-    f1 = measure_exponent(simulate_copy(cfg))
-    f2 = measure_exponent(simulate_copy(cfg))
+    f1 = measure_exponent(simulate_copy(50_000, gamma=0.3, seed=5))
+    f2 = measure_exponent(simulate_copy(50_000, gamma=0.3, seed=5))
     assert f1 == f2
 
 
@@ -223,8 +217,7 @@ def test_gamma_sweep_domain():
 # -- exports ------------------------------------------------------------------------
 
 def test_degrees_csv_roundtrip():
-    cfg = GrowthConfig(model=BA, n_nodes=1500, m=2, seed=3)
-    d = simulate_ba(cfg)
+    d = simulate_ba(1500, m=2, seed=3)
     text = degrees_csv(d)
     lines = text.strip().splitlines()
     assert lines[0] == "count"
@@ -233,7 +226,7 @@ def test_degrees_csv_roundtrip():
 
 
 def test_degrees_csv_matches_row_loop_format():
-    d = simulate_copy(GrowthConfig(model=COPY, n_nodes=3000, gamma=0.3, seed=8))
+    d = simulate_copy(3000, gamma=0.3, seed=8)
     expected = "count\n" + "".join(f"{int(c)}\n" for c in d.counts)
     assert degrees_csv(d) == expected
 
@@ -245,7 +238,6 @@ def test_sweep_csv_header():
 
 
 def test_degree_sequence_immutable():
-    cfg = GrowthConfig(model=BA, n_nodes=1000, m=1, seed=3)
-    d = simulate_ba(cfg)
+    d = simulate_ba(1000, m=1, seed=3)
     with pytest.raises(ValueError):
         d.counts[0] = 7

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tailkit.errors import RenderError
-from tailkit.fit import FitOptions, TailFit, select_xmin
+from tailkit.fit import TailFit, select_xmin
 from tailkit.pipeline import PlatformStats
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.report import (

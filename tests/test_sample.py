@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tailkit.errors import EmptySample, KindMismatch
+from tailkit.errors import DomainError, EmptySample, KindMismatch
+from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.sample import Sample, empirical_ccdf, make_sample
 
 from oracles import ccdf_naive
@@ -51,6 +52,17 @@ def test_discrete_sample_must_hold_integers():
     with pytest.raises(KindMismatch):
         Sample(values=np.array([1.5, 2.0, 3.0]), kind="discrete")
     assert make_sample([3.0, 1.0, 2.0], kind="discrete").kind == "discrete"
+
+
+def test_invalid_sample_raises_a_typed_error():
+    for values, kind, message in (([1.0, np.inf], "continuous", "finite"),
+                                  ([0.0, 1.0], "continuous", "> 0"),
+                                  ([1.0], "ordinal", "unknown sample kind")):
+        with pytest.raises(DomainError, match=message):
+            Sample(values=np.array(values), kind=kind)
+    # draws of a power law with alpha near 1 overflow to inf
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite"):
+        pl_sample(PowerLawModel(alpha=1.01, xmin=1.0), 100_000, seed=1)
 
 
 def test_empirical_ccdf_counts():
