@@ -8,7 +8,7 @@ exponent is 1 + 1/(1 - gamma): heavier concentration the less the system
 explores. The preferential-attachment graph is the classical reference
 point: degree CCDF exponent 2 (density 3) regardless of the edge count m.
 
-Run:  python demos/04_growth_models.py   (about a minute)
+Run:  python demos/04_growth_models.py
 """
 
 from tailkit import (

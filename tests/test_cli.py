@@ -403,6 +403,8 @@ def test_pipeline_rejects_a_floor_that_is_not_finite(floor, tmp_path, capsys):
 
 def test_workers_variable_must_be_an_integer(pareto_file, monkeypatch, capsys):
     monkeypatch.setenv("TAILKIT_WORKERS", "abc")
+    monkeypatch.setattr(cli, "_read_column", None)  # the variable is read first:
+    monkeypatch.setattr(cli, "select_xmin", None)   # no input is read, no scan runs
     code, out, err = run_cli(capsys, "fit", str(pareto_file), "--bootstrap", "100")
     assert code == 2
     assert out == ""
@@ -412,20 +414,12 @@ def test_workers_variable_must_be_an_integer(pareto_file, monkeypatch, capsys):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_variable_must_be_positive(workers, pareto_file, monkeypatch, capsys):
     monkeypatch.setenv("TAILKIT_WORKERS", workers)
+    monkeypatch.setattr(cli, "_read_column", None)
+    monkeypatch.setattr(cli, "select_xmin", None)
     code, out, err = run_cli(capsys, "fit", str(pareto_file), "--bootstrap", "100")
     assert code == 2
     assert out == ""
     assert f"error: TAILKIT_WORKERS must be >= 1, got {workers}" in err
-
-
-@pytest.mark.parametrize("workers", ["abc", "0"])
-def test_fit_reads_the_workers_variable_before_any_work(workers, monkeypatch, capsys):
-    monkeypatch.setenv("TAILKIT_WORKERS", workers)
-    monkeypatch.setattr(cli, "_read_column", None)  # no input is read
-    monkeypatch.setattr(cli, "select_xmin", None)  # and no scan runs
-    code, out, err = run_cli(capsys, "fit", "unread.csv", "--bootstrap", "100")
-    assert (code, out) == (2, "")
-    assert "error: TAILKIT_WORKERS must be" in err
 
 
 # the documented exit code of every error class: 1 I/O, 2 schema or
