@@ -64,18 +64,26 @@ EXPLORATION_FLOOR = 0.05
 _BA_BLOCK_MIN = 256
 _BA_BLOCK_MAX = 8192
 _BA_BLOCK_DIV = 8
-_CSV_BLOCK = 65536  # counts per degrees_csv block: one block's str objects live at a time
+_CSV_BLOCK = 65536  # counts per degrees_csv block: one block's digit buffer lives at a time
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: a count has 1 + #{p <= count} digits
 
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Per-node attention (copy) or degree (ba) counts for one run."""
+    """Per-node attention (copy) or degree (ba) counts for one run.
+
+    Counts are events or degrees, so they must be >= 0; construction raises
+    DomainError otherwise.
+    """
 
     counts: np.ndarray
     steps: int  # attention events (copy) or total edges (ba)
 
     def __post_init__(self):
         c = np.array(self.counts, dtype=np.int64)  # own copy, then freeze
+        if c.size and c.min() < 0:
+            raise DomainError(f"counts must be >= 0: {np.count_nonzero(c < 0)} "
+                              f"negative, least {int(c.min())}")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
@@ -260,10 +268,31 @@ def ccdf_slope(d: DegreeSequence, lo: float = 10.0, hi: float = 500.0) -> float:
 
 
 def degrees_csv(d: DegreeSequence) -> str:
-    """Single-column CSV of per-node counts."""
+    """Single-column CSV of per-node counts: a `count` header, then one
+    decimal integer per line, the same text as `str(count)` per line.
+
+    Encoded in numpy a block of 65 536 counts at a time, into one ASCII
+    buffer per block, so no per-count `str` is built.
+    """
     c = d.counts
-    return "".join(["count\n", *("\n".join(map(str, c[i:i + _CSV_BLOCK].tolist())) + "\n"
+    return "".join(["count\n", *(_decimal_lines(c[i:i + _CSV_BLOCK])
                                  for i in range(0, c.size, _CSV_BLOCK))])
+
+
+def _decimal_lines(v: np.ndarray) -> str:
+    """Each of the (one or more) int64 values >= 0 in decimal, followed by
+    a newline."""
+    end = np.cumsum(np.searchsorted(_POW10, v, side="right") + 2)  # digits + "\n"
+    buf = np.empty(int(end[-1]), dtype=np.uint8)
+    buf[end - 1] = ord("\n")
+    pos = end - 2  # each value's last digit; digits are written right to left
+    while pos.size:
+        buf[pos] = v % 10 + ord("0")
+        v = v // 10
+        pos -= 1
+        more = v > 0
+        pos, v = pos[more], v[more]
+    return buf.tobytes().decode("ascii")
 
 
 def sweep_csv(rows) -> str:

@@ -664,7 +664,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         ranked = proportion_figure(
             {p: power_law_proportion(buckets[p], fit) for p, fit in fits.items()})
         write("power_law_proportion.csv", csv_table(
-            ("platform", "proportion"), zip(ranked.labels, (y for _, y in ranked.points))))
+            ("platform", "proportion"), zip(ranked.labels, ranked.points[:, 1].tolist())))
         figures["power_law_proportion"] = [ranked]
 
     cat_samples = group_samples(records, CATEGORY)

@@ -184,12 +184,22 @@ def _discrete_ppf(model: PowerLawModel, u):
 
 
 def pl_sample(model: PowerLawModel, n: int, seed: int) -> Sample:
-    """Draw n values by inverse-CDF sampling; deterministic for a fixed seed."""
+    """Draw n values by inverse-CDF sampling; deterministic for a fixed seed.
+
+    Raises DomainError when any draw overflows float64, which happens for
+    alpha close to 1 (the quantile grows like (1-u)^(-1/(alpha-1))).
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = make_rng(seed)
     u = rng.random(n)
-    return Sample(values=np.sort(pl_ppf(model, u)), kind=model.kind)
+    with np.errstate(over="ignore"):
+        x = pl_ppf(model, u)
+    n_over = n - np.count_nonzero(np.isfinite(x))
+    if n_over:
+        raise DomainError(f"{n_over} of {n} draws are not finite: they overflow float64 "
+                          f"for the power law with alpha={model.alpha}, xmin={model.xmin}")
+    return Sample(values=np.sort(x), kind=model.kind)
 
 
 # -- Kolmogorov-Smirnov distance -------------------------------------------

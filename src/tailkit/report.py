@@ -39,29 +39,50 @@ LOGLOG = "loglog"
 LINEAR = "linear"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlotSeries:
     """One drawable series: named points plus style hints.
 
-    style is one of 'points', 'line', 'bar'. Log-scaled series must hold
-    strictly positive coordinates. labels, when present, annotate points
-    (bar charts use them as tick labels).
+    `points` is a read-only float64 array of shape (n, 2), one (x, y) row
+    per point, built from any sequence of pairs. Every coordinate must be
+    finite, and log-scaled series must hold strictly positive coordinates;
+    construction raises RenderError otherwise. style is one of 'points',
+    'line', 'bar'. labels, when present, annotate points (bar charts use
+    them as tick labels). Series are equal when their fields are; as they
+    hold an array, they are not hashable.
     """
 
     name: str
-    points: tuple
+    points: np.ndarray
     scale: str = LOGLOG
     style: str = "points"
     labels: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple((float(x), float(y))
-                                                 for x, y in self.points))
+        p = np.array(self.points, dtype=np.float64)  # own copy, then freeze
+        if p.size == 0:
+            p = p.reshape(0, 2)
+        if p.ndim != 2 or p.shape[1] != 2:
+            raise RenderError(f"series {self.name!r}: points must be (x, y) pairs")
+        p.flags.writeable = False
+        object.__setattr__(self, "points", p)
+        self._reject(~np.isfinite(p), "point", "not finite")
         if self.scale == LOGLOG:
-            for x, y in self.points:
-                if x <= 0 or y <= 0:
-                    raise RenderError(
-                        f"series {self.name!r}: log-log point ({x}, {y}) not positive")
+            self._reject(p <= 0, "log-log point", "not positive")
+
+    def _reject(self, bad, what, why):
+        """Raise RenderError naming the first point with a `bad` coordinate."""
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            x, y = self.points[rows[0]].tolist()
+            raise RenderError(f"series {self.name!r}: {what} ({x}, {y}) {why}")
+
+    def __eq__(self, other):
+        if not isinstance(other, PlotSeries):
+            return NotImplemented
+        return ((self.name, self.scale, self.style, self.labels)
+                == (other.name, other.scale, other.style, other.labels)
+                and np.array_equal(self.points, other.points))
 
 
 # -- figure builders -----------------------------------------------------------
@@ -82,7 +103,7 @@ def ccdf_figure(sample: Sample, fit: TailFit):
     tail it was fitted to.
     """
     xs, fr = empirical_ccdf(sample)
-    emp = PlotSeries(name="empirical", points=tuple(zip(xs, fr)), scale=LOGLOG)
+    emp = PlotSeries(name="empirical", points=np.column_stack((xs, fr)), scale=LOGLOG)
     anchor_y = float(fr[np.searchsorted(xs, fit.xmin, side="left")])
     slope = -(fit.alpha - 1.0)
     x_hi = float(xs[-1])
@@ -173,11 +194,18 @@ def csv_table(columns, rows) -> str:
 
 
 def series_csv(series: PlotSeries) -> str:
-    """The points of `series` as CSV (x, y, and label when it has labels)."""
+    """The points of `series` as CSV (x, y, and label when it has labels),
+    floats written as `.10g`, the same text `csv_table` writes.
+
+    Without labels the whole body is one `%` format over the flattened
+    points, so no per-row Python tuple or string is built.
+    """
     if series.labels:
         return csv_table(("x", "y", "label"),
-                         (p + (lab,) for p, lab in zip(series.points, series.labels)))
-    return csv_table(("x", "y"), series.points)
+                         ((x, y, lab) for (x, y), lab
+                          in zip(series.points.tolist(), series.labels)))
+    return "x,y\n" + ("%.10g,%.10g\n" * len(series.points)) % tuple(
+        series.points.ravel().tolist())
 
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -218,7 +246,11 @@ def render_svg(series_list, title: str = "") -> str:
 
     Log-scaled axes (with decade ticks) whenever any series is log-log;
     byte-deterministic for identical inputs. Raises RenderError on empty
-    input or nonpositive log coordinates.
+    input or on log-log and linear series mixed. A 'points' series is
+    placed as arrays, with `math.log10` per coordinate (`np.log10` differs
+    from it in the last bit on some inputs) and the same operation order
+    as a single point, then written with one `%` format, so its circles
+    are the bytes a per-point loop would write.
     """
     if not series_list:
         raise RenderError("no series to render")
@@ -226,11 +258,11 @@ def render_svg(series_list, title: str = "") -> str:
     for s in series_list:
         if loglog and s.scale != LOGLOG:
             raise RenderError(f"series {s.name!r}: cannot mix scales in one figure")
-        if not s.points:
+        if len(s.points) == 0:
             raise RenderError(f"series {s.name!r} is empty")
 
-    xs = [x for s in series_list for x, _ in s.points]
-    ys = [y for s in series_list for _, y in s.points]
+    xs = [x for s in series_list for x in s.points[:, 0].tolist()]
+    ys = [y for s in series_list for y in s.points[:, 1].tolist()]
     has_bars = any(s.style == "bar" for s in series_list)
     if loglog:
         tx = lambda v: math.log10(v)
@@ -288,12 +320,12 @@ def render_svg(series_list, title: str = "") -> str:
     for si, s in enumerate(series_list):
         color = _SVG_PALETTE[si % len(_SVG_PALETTE)]
         if s.style == "line":
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in s.points)
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in s.points.tolist())
             out.write(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                       f'stroke-width="1.5"/>\n')
         elif s.style == "bar":
             bw = pw / max(len(s.points), 1) * 0.7
-            for (x, y), lab in zip(s.points, s.labels or [""] * len(s.points)):
+            for (x, y), lab in zip(s.points.tolist(), s.labels or [""] * len(s.points)):
                 cx = px(x)
                 out.write(f'<rect x="{cx - bw/2:.2f}" y="{py(y):.2f}" '
                           f'width="{bw:.2f}" height="{m_top + ph - py(y):.2f}" '
@@ -303,9 +335,14 @@ def render_svg(series_list, title: str = "") -> str:
                               f'text-anchor="middle" font-family="sans-serif" '
                               f'font-size="10">{_escape(str(lab))}</text>\n')
         else:
-            for x, y in s.points:
-                out.write(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2" '
-                          f'fill="{color}"/>\n')
+            lx, ly = s.points.T
+            if loglog:
+                lx, ly = (np.fromiter(map(math.log10, v.tolist()), float, v.size)
+                          for v in (lx, ly))
+            cxy = np.column_stack((m_left + (lx - x_lo) / (x_hi - x_lo) * pw,
+                                   m_top + ph - (ly - y_lo) / (y_hi - y_lo) * ph))
+            out.write((f'<circle cx="%.2f" cy="%.2f" r="2" fill="{color}"/>\n'
+                       * len(cxy)) % tuple(cxy.ravel().tolist()))
         out.write(f'<text x="{m_left + pw - 8}" y="{m_top + 14 + 14 * si}" '
                   f'text-anchor="end" font-family="sans-serif" font-size="11" '
                   f'fill="{color}">{_escape(s.name)}</text>\n')

@@ -16,7 +16,11 @@ each resample drew values with `rng.choice`, sorted them and took their log
 (`tailkit.estimators._amse_curve` takes the log once per sample on a reversed
 view, so on the same strided path, and gathers it at sorted integer indices
 from the same draw; truncated at its hi, its curve must have the same bits),
-`read_column_loop`, the CLI's reader that converted one line at a time
+`degrees_csv_loop`, `series_csv_loop` and `render_svg_loop`, the text
+emitters that wrote one Python string per count, CSV row or SVG circle
+(`tailkit.growth.degrees_csv`, `tailkit.report.series_csv` and
+`tailkit.report.render_svg` encode from numpy arrays and must return the
+same text), `read_column_loop`, the CLI's reader that converted one line at a time
 (`tailkit.cli._read_column` must return the same array or raise the same
 `SchemaError`), and the earnings pipeline's row path (`parse_csv_rows` to
 `nsfw_rows`), which held one frozen `EarningsRecord` per row: the columnar
@@ -26,12 +30,13 @@ diagnostics, fit the same `coef` bit for bit, and group the same samples.
 
 import bisect
 import csv
+import io
 import math
 
 import numpy as np
 
 from tailkit import fit, growth
-from tailkit.errors import DegenerateTail, SampleTooSmall, SchemaError
+from tailkit.errors import DegenerateTail, RenderError, SampleTooSmall, SchemaError
 from tailkit.fit import (
     TailFit,
     _candidate_indices,
@@ -53,6 +58,15 @@ from tailkit.pipeline import (
     ParseResult,
 )
 from tailkit.powerlaw import hurwitz_zeta
+from tailkit.report import (
+    _SVG_PALETTE,
+    LOGLOG,
+    _escape,
+    _fmt,
+    _ticks_linear,
+    _ticks_log,
+    csv_table,
+)
 from tailkit.rng import make_rng
 from tailkit.sample import CONTINUOUS, make_sample
 
@@ -339,6 +353,133 @@ def simulate_ba_loop(n_nodes, m=1, seed=0) -> DegreeSequence:
             deg[t] += 1
             deg[v] += 1
     return DegreeSequence(counts=deg, steps=n_edges)
+
+
+def assert_same_text(got: str, want: str):
+    """Fail naming the first line where an emitter's text leaves its
+    oracle's; pytest's own diff of two megabyte strings takes minutes."""
+    if got != want:
+        g, w = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+        raise AssertionError(f"texts differ at line {i + 1} of {len(g)} / {len(w)}: "
+                             f"{g[i:i + 1]!r} != {w[i:i + 1]!r}")
+
+
+def degrees_csv_loop(d: DegreeSequence) -> str:
+    """`count` header, then `str` of each count on its own line, joined a
+    65 536-count block at a time."""
+    c = d.counts
+    return "".join(["count\n", *("\n".join(map(str, c[i:i + 65536].tolist())) + "\n"
+                                 for i in range(0, c.size, 65536))])
+
+
+def _point_tuples(series):
+    """A series' points as a tuple of (x, y) Python floats."""
+    return tuple(map(tuple, series.points.tolist()))
+
+
+def series_csv_loop(series) -> str:
+    """x, y (and label) CSV through `csv_table`, one row tuple per point."""
+    points = _point_tuples(series)
+    if series.labels:
+        return csv_table(("x", "y", "label"),
+                         (p + (lab,) for p, lab in zip(points, series.labels)))
+    return csv_table(("x", "y"), points)
+
+
+def render_svg_loop(series_list, title: str = "") -> str:
+    """640x480 SVG written one f-string per element, each pixel coordinate
+    computed by `px`/`py` on one point at a time."""
+    if not series_list:
+        raise RenderError("no series to render")
+    loglog = any(s.scale == LOGLOG for s in series_list)
+    for s in series_list:
+        if loglog and s.scale != LOGLOG:
+            raise RenderError(f"series {s.name!r}: cannot mix scales in one figure")
+        if not _point_tuples(s):
+            raise RenderError(f"series {s.name!r} is empty")
+
+    xs = [x for s in series_list for x, _ in _point_tuples(s)]
+    ys = [y for s in series_list for _, y in _point_tuples(s)]
+    has_bars = any(s.style == "bar" for s in series_list)
+    if loglog:
+        tx = lambda v: math.log10(v)
+        x_lo, x_hi = tx(min(xs)), tx(max(xs))
+        y_lo, y_hi = tx(min(ys)), tx(max(ys))
+        xticks = _ticks_log(min(xs), max(xs))
+        yticks = _ticks_log(min(ys), max(ys))
+    else:
+        tx = lambda v: v
+        x_lo, x_hi = min(xs), max(xs)
+        y_lo, y_hi = (0.0 if has_bars else min(ys)), max(ys)
+        xticks = _ticks_linear(x_lo, x_hi)
+        yticks = _ticks_linear(y_lo, y_hi)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    width, height = 640, 480
+    m_left, m_right, m_top, m_bot = 64, 16, 32, 48
+    pw, ph = width - m_left - m_right, height - m_top - m_bot
+
+    def px(v):
+        return m_left + (tx(v) - x_lo) / (x_hi - x_lo) * pw
+
+    def py(v):
+        return m_top + ph - (tx(v) - y_lo) / (y_hi - y_lo) * ph
+
+    out = io.StringIO()
+    out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
+    out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+              f'height="{height}" viewBox="0 0 {width} {height}">\n')
+    out.write(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n')
+    if title:
+        out.write(f'<text x="{width/2:.1f}" y="20" text-anchor="middle" '
+                  f'font-family="sans-serif" font-size="14">{_escape(title)}</text>\n')
+    out.write(f'<line x1="{m_left}" y1="{m_top + ph}" x2="{m_left + pw}" '
+              f'y2="{m_top + ph}" stroke="black"/>\n')
+    out.write(f'<line x1="{m_left}" y1="{m_top}" x2="{m_left}" '
+              f'y2="{m_top + ph}" stroke="black"/>\n')
+    for t in xticks:
+        x = px(t)
+        out.write(f'<line x1="{x:.2f}" y1="{m_top + ph}" x2="{x:.2f}" '
+                  f'y2="{m_top + ph + 5}" stroke="black"/>\n')
+        out.write(f'<text x="{x:.2f}" y="{m_top + ph + 18}" text-anchor="middle" '
+                  f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>\n')
+    for t in yticks:
+        y = py(t)
+        out.write(f'<line x1="{m_left - 5}" y1="{y:.2f}" x2="{m_left}" '
+                  f'y2="{y:.2f}" stroke="black"/>\n')
+        out.write(f'<text x="{m_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
+                  f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>\n')
+    for si, s in enumerate(series_list):
+        color = _SVG_PALETTE[si % len(_SVG_PALETTE)]
+        points = _point_tuples(s)
+        if s.style == "line":
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in points)
+            out.write(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                      f'stroke-width="1.5"/>\n')
+        elif s.style == "bar":
+            bw = pw / max(len(points), 1) * 0.7
+            for (x, y), lab in zip(points, s.labels or [""] * len(points)):
+                cx = px(x)
+                out.write(f'<rect x="{cx - bw/2:.2f}" y="{py(y):.2f}" '
+                          f'width="{bw:.2f}" height="{m_top + ph - py(y):.2f}" '
+                          f'fill="{color}" fill-opacity="0.8"/>\n')
+                if lab:
+                    out.write(f'<text x="{cx:.2f}" y="{m_top + ph + 32}" '
+                              f'text-anchor="middle" font-family="sans-serif" '
+                              f'font-size="10">{_escape(str(lab))}</text>\n')
+        else:
+            for x, y in points:
+                out.write(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2" '
+                          f'fill="{color}"/>\n')
+        out.write(f'<text x="{m_left + pw - 8}" y="{m_top + 14 + 14 * si}" '
+                  f'text-anchor="end" font-family="sans-serif" font-size="11" '
+                  f'fill="{color}">{_escape(s.name)}</text>\n')
+    out.write("</svg>\n")
+    return out.getvalue()
 
 
 def amse_curve_loop(x: np.ndarray, nb: int, rng, replicates: int) -> np.ndarray:

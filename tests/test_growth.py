@@ -25,7 +25,7 @@ from tailkit.growth import (
 from tailkit.rng import make_rng
 from tailkit.sample import DISCRETE, make_sample
 
-from oracles import simulate_ba_loop, simulate_copy_loop
+from oracles import assert_same_text, degrees_csv_loop, simulate_ba_loop, simulate_copy_loop
 
 
 # -- theory ---------------------------------------------------------------------
@@ -229,6 +229,34 @@ def test_degrees_csv_matches_row_loop_format():
     d = simulate_copy(3000, gamma=0.3, seed=8)
     expected = "count\n" + "".join(f"{int(c)}\n" for c in d.counts)
     assert degrees_csv(d) == expected
+
+
+# every count where the digit count changes, and the int64 extremes
+DIGIT_BOUNDARIES = [0, 1, *(v for k in range(1, 19) for v in (10**k - 1, 10**k)), 2**63 - 1]
+BLOCK_SIZES = [0, 1, 65_535, 65_536, 65_537]
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_degrees_csv_matches_loop_at_digit_boundaries(size):
+    d = DegreeSequence(counts=np.resize(np.array(DIGIT_BOUNDARIES, dtype=np.int64), size),
+                       steps=0)
+    assert_same_text(degrees_csv(d), degrees_csv_loop(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.sampled_from(DIGIT_BOUNDARIES) | st.integers(0, 2**63 - 1),
+                       min_size=1, max_size=40),
+       size=st.sampled_from(BLOCK_SIZES), seed=st.integers(0, 2**32 - 1))
+def test_degrees_csv_equals_the_loop_oracle(values, size, seed):
+    counts = make_rng(seed).permutation(np.resize(np.array(values, dtype=np.int64), size))
+    d = DegreeSequence(counts=counts, steps=0)
+    assert_same_text(degrees_csv(d), degrees_csv_loop(d))
+
+
+def test_degree_sequence_rejects_negative_counts():
+    with pytest.raises(DomainError, match="counts must be >= 0: 2 negative, least -5"):
+        DegreeSequence(counts=[3, -1, 0, -5], steps=0)
+    assert degrees_csv(DegreeSequence(counts=[0], steps=0)) == "count\n0\n"
 
 
 def test_sweep_csv_header():

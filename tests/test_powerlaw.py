@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,16 @@ def test_sample_deterministic():
     assert np.array_equal(a.values, b.values)
     c = pl_sample(m, 500, seed=43)
     assert not np.array_equal(a.values, c.values)
+
+
+def test_sample_overflow_is_named_without_a_warning():
+    m = PowerLawModel(alpha=1.01, xmin=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^82 of 100000 draws are not finite: they "
+                                              r"overflow float64 for the power law with "
+                                              r"alpha=1\.01, xmin=1\.0$"):
+            pl_sample(m, 100_000, seed=1)
 
 
 def test_sample_respects_xmin_and_kind():

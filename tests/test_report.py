@@ -3,14 +3,17 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tailkit.errors import RenderError
 from tailkit.fit import TailFit, select_xmin
 from tailkit.pipeline import PlatformStats
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.report import (
+    LINEAR,
     PlotSeries,
     alpha_panel,
+    bar_series,
     category_panel,
     ccdf_figure,
     median_vs_alpha,
@@ -22,7 +25,7 @@ from tailkit.report import (
 )
 from tailkit.rng import make_rng
 
-from oracles import spearman_naive
+from oracles import assert_same_text, render_svg_loop, series_csv_loop, spearman_naive
 
 # published per-platform values used as rendering fixtures
 PAPER_ALPHAS = {"youtube": 1.8, "instagram": 1.84, "twitch": 1.93,
@@ -225,6 +228,43 @@ def test_loglog_rejects_nonpositive_points():
         PlotSeries(name="demo", points=((1.0, -2.0),))
 
 
+@pytest.mark.parametrize("scale", ["loglog", "linear"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plot_series_rejects_non_finite_points(scale, bad):
+    with pytest.raises(RenderError, match=r"series 'demo': point \(2\.0, .+\) not finite"):
+        PlotSeries(name="demo", scale=scale, points=((1.0, 1.0), (2.0, bad), (bad, 3.0)))
+
+
+def test_loglog_error_names_the_first_nonpositive_point():
+    with pytest.raises(RenderError, match=r"^series 'demo': log-log point \(3\.0, 0\.0\) "
+                                          r"not positive$"):
+        PlotSeries(name="demo", points=np.array([[1, 1], [3, 0], [-1, 2]]))
+
+
+def test_plot_series_points_are_a_frozen_copy():
+    src = np.array([[1.0, 0.5], [2.0, 0.25]])
+    s = PlotSeries(name="demo", points=src)
+    assert s.points.shape == (2, 2) and s.points.dtype == np.float64
+    src[0, 0] = 9.0
+    assert s.points[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        s.points[0, 0] = 7.0
+    assert PlotSeries(name="none", points=(), scale=LINEAR).points.shape == (0, 2)
+    with pytest.raises(RenderError, match="pairs"):
+        PlotSeries(name="demo", points=((1.0, 2.0, 3.0),))
+
+
+def test_plot_series_equality_is_by_value_and_unhashable():
+    a = PlotSeries(name="demo", points=((1, 1), (2, 0.5)))
+    assert a == PlotSeries(name="demo", points=np.array([[1.0, 1.0], [2.0, 0.5]]))
+    assert a != PlotSeries(name="demo", points=((1, 1), (2, 0.25)))
+    assert a != PlotSeries(name="demo", points=((1, 1),))
+    assert a != PlotSeries(name="other", points=((1, 1), (2, 0.5)))
+    assert a != PlotSeries(name="demo", style="line", points=((1, 1), (2, 0.5)))
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_svg_bar_chart_linear_scale():
     series = proportion_figure({"a": 0.5, "b": 0.2})
     svg = render_svg([series])
@@ -248,3 +288,76 @@ def test_save_figures_manifest(tmp_path):
     for name, digest in manifest.items():
         data = (tmp_path / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
+
+
+# -- array emission against the per-point oracles ------------------------------------
+
+def _log10_mismatches():
+    """Positive floats whose `np.log10` differs from `math.log10`."""
+    v = make_rng(5).random(20_000) * 10.0 ** make_rng(6).integers(-3, 7, 20_000)
+    v = v[v > 0]
+    return v[np.log10(v) != np.array([math.log10(x) for x in v.tolist()])][:64].tolist()
+
+
+LOG10_MISMATCHES = _log10_mismatches()
+
+
+def _ratio(lo, hi):
+    # k/8 lands pixels on exact .xx5 ties; k/1000 and k/997 give decimal and
+    # full-mantissa values, all at least about 1e-6 apart
+    return st.builds(lambda k, d: k / d, st.integers(lo, hi), st.sampled_from([8, 1000, 997]))
+
+
+LOG_COORD = _ratio(1, 10**7) | st.sampled_from(LOG10_MISMATCHES)
+LINEAR_COORD = _ratio(-10**6, 10**6)
+
+
+@st.composite
+def figures(draw):
+    """1-3 series on one scale, each 'points' or 'line', plus bars when linear."""
+    scale = draw(st.sampled_from(["loglog", "linear"]))
+    coord = LOG_COORD if scale == "loglog" else LINEAR_COORD
+    out = []
+    for i in range(draw(st.integers(1, 3))):
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+        style = draw(st.sampled_from(["points", "line"]))
+        labels = ()
+        if scale == "linear" and style == "points" and draw(st.booleans()):
+            labels = tuple(draw(st.lists(st.sampled_from(["a", "b&c", "<d>"]),
+                                         min_size=len(pts), max_size=len(pts))))
+        out.append(PlotSeries(name=f"s{i}", points=pts, scale=scale, style=style,
+                              labels=labels))
+    if scale == "linear" and draw(st.booleans()):
+        heights = draw(st.lists(_ratio(0, 10**6), min_size=1, max_size=8))
+        out.append(bar_series("bars", [(f"b{j}", h) for j, h in enumerate(heights)]))
+    return out
+
+
+def test_log10_mismatches_exist():
+    assert len(LOG10_MISMATCHES) == 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(figure=figures(), title=st.sampled_from(["", "ccdf & <fit>"]))
+def test_svg_and_series_csv_equal_the_per_point_oracles(figure, title):
+    assert render_svg(figure, title=title) == render_svg_loop(figure, title=title)
+    for s in figure:
+        assert series_csv(s) == series_csv_loop(s)
+
+
+def test_svg_points_take_math_log10():
+    # np.log10(x) is one ulp below math.log10(x), which would move this
+    # circle's cx from the exact tie 300.375 (written "300.38") to 300.3749...
+    x, x_max = 14.274577243083408, 543.6198222429541
+    assert np.log10(x) < math.log10(x)
+    s = PlotSeries(name="tie", points=((1.0, 1.0), (x, 1.0), (x_max, 1.0)))
+    svg = render_svg([s])
+    assert '<circle cx="300.38" cy="432.00"' in svg
+    assert svg == render_svg_loop([s])
+
+
+def test_ccdf_figure_emission_equals_the_per_point_oracles(pareto_ccdf_figure):
+    _, _, figs = pareto_ccdf_figure
+    assert_same_text(render_svg(figs, title="ccdf"), render_svg_loop(figs, title="ccdf"))
+    for s in figs:
+        assert_same_text(series_csv(s), series_csv_loop(s))
