@@ -15,7 +15,7 @@ from .errors import DegenerateTail, DomainError, InsufficientGrid, SampleTooSmal
 from .fit import select_xmin
 from .report import csv_table
 from .rng import make_rng
-from .sample import Sample
+from .sample import Sample, distinct_runs
 
 __all__ = [
     "TailIndexEstimate",
@@ -101,7 +101,9 @@ def adjusted_hill(s: Sample, k: int) -> TailIndexEstimate:
     extrapolated to k' -> 0; the regression intercept is the corrected gamma.
     """
     n = len(s)
-    grid = np.unique(np.linspace(max(2, k // 5), k, _ADJ_GRID_POINTS).astype(int))
+    if k < 2:  # the grid below runs up from 2, so it is non-decreasing
+        raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
+    grid = distinct_runs(np.linspace(max(2, k // 5), k, _ADJ_GRID_POINTS).astype(int))[0]
     grid = grid[grid < n]
     if grid.size < _ADJ_MIN_POINTS:
         raise InsufficientGrid(f"only {grid.size} grid points below k={k}")

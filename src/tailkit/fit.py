@@ -224,8 +224,8 @@ def _candidate_indices(dv, dcum, n, min_tail):
     cand = np.flatnonzero(n_tail >= min_tail)
     cand = cand[dv[cand] < dv[-1]]  # a tail of identical values is degenerate
     if cand.size > _CANDIDATE_CAP:
-        sel = np.unique(np.round(np.linspace(0, cand.size - 1, _CANDIDATE_CAP)).astype(int))
-        cand = cand[sel]
+        sel = np.round(np.linspace(0, cand.size - 1, _CANDIDATE_CAP)).astype(int)
+        cand = cand[distinct_runs(sel)[0]]
     return cand
 
 
@@ -268,8 +268,10 @@ class _Candidates:
     def gaps(self, pts, i):
         """KS gaps of candidate(s) i at distinct indices pts.
 
-        Either i is one candidate and pts a slice of its tail, or both are
-        arrays of equal length pairing each point with its candidate.
+        Either i is one candidate and pts a slice of its tail, or i and pts
+        are arrays that broadcast together, pairing each point with its
+        candidate: `bounds` passes a (rows, 1) column of candidates and a
+        (rows, width) array of their points.
         """
         k0, below, m, alpha = self.k0[i], self.below[i], self.m[i], self.alpha[i]
         cle = self.dcum[pts] - below
@@ -292,25 +294,26 @@ class _Candidates:
         """Per candidate idx[j], the gap maximum over its tail points k0,
         k0 + stride[j], k0 + 2 stride[j], ...: a lower bound on its KS distance.
 
-        Candidates are taken in chunks whose gathered points number at most
-        max(N/8, 2^14) for N distinct values, or one candidate's points.
+        Candidates are taken in ascending order of point count, in chunks of
+        rows padded to the chunk's longest row by repeating each row's last
+        point (which leaves its maximum unchanged). A chunk holds at most
+        max(N/8, 2^14) points for N distinct values, or one candidate's.
         """
         n_dist = self.dv.size
-        k0 = self.k0[idx]
-        npts = (n_dist - k0 + stride - 1) // stride
-        ends = npts.cumsum()
+        npts = (n_dist - self.k0[idx] + stride - 1) // stride
+        order = np.argsort(npts, kind="stable")
+        sizes = npts[order]
         budget = max(n_dist // 8, _LB_CHUNK_MIN)
         lb = np.empty(idx.size)
         lo = 0
         while lo < idx.size:
-            base = ends[lo] - npts[lo]
-            hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
-            counts = npts[lo:hi]
-            starts = ends[lo:hi] - counts - base
-            rows = np.repeat(np.arange(lo, hi), counts)
-            step = np.arange(rows.size) - np.repeat(starts, counts)
-            pts = k0[rows] + stride[rows] * step
-            lb[lo:hi] = np.maximum.reduceat(self.gaps(pts, idx[rows]), starts)
+            # rows lo..hi-1 fill hi - lo rows of sizes[hi - 1] points each
+            fill = np.arange(1, idx.size - lo + 1) * sizes[lo:]
+            hi = lo + max(1, int(np.searchsorted(fill, budget, side="right")))
+            rows = order[lo:hi, None]
+            step = np.minimum(np.arange(sizes[hi - 1]), npts[rows] - 1)
+            lb[rows[:, 0]] = self.gaps(self.k0[idx[rows]] + stride[rows] * step,
+                                       idx[rows]).max(axis=1)
             lo = hi
         return lb
 

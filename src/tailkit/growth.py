@@ -64,7 +64,9 @@ EXPLORATION_FLOOR = 0.05
 _BA_BLOCK_MIN = 256
 _BA_BLOCK_MAX = 8192
 _BA_BLOCK_DIV = 8
-_CSV_BLOCK = 65536  # counts per degrees_csv block: one block's digit buffer lives at a time
+# values per block: simulate_copy draws its uniforms and degrees_csv encodes
+# its digits a block at a time, so no n-sized temporary is made
+_BLOCK = 65536
 _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: a count has 1 + #{p <= count} digits
 
 
@@ -139,21 +141,28 @@ def simulate_copy(n_nodes: int, gamma: float = 0.0, seed: int = 0) -> DegreeSequ
     n = n_nodes
     g = max(gamma, EXPLORATION_FLOOR)
     rng = make_rng(seed)
-    u_branch = rng.random(n)
-    u_pick = rng.random(n)
-    explore = u_branch < g
+    # Both uniform streams are drawn a block at a time (Philox gives the
+    # same doubles in any chunking); only the exploration mask of the first
+    # and the int32 pointers and destinations of the second are n-sized.
+    blocks = [slice(a, min(a + _BLOCK, n)) for a in range(0, n, _BLOCK)]
+    explore = np.empty(n, dtype=bool)
+    for b in blocks:
+        np.less(rng.random(b.stop - b.start), g, out=explore[b])
     explore[:2] = True
-    # Work in place and free nothing n-sized before returning: buffers freed
-    # mid-run would be reused from the heap and stay resident afterwards.
-    steps = np.arange(n)
-    ptr = steps - 1
-    np.copyto(ptr, np.multiply(u_pick, ptr, out=u_branch), casting="unsafe")
-    ptr += 1                                # step t copies step int(u * (t - 1)) + 1
-    np.copyto(ptr, steps, where=explore)    # an exploring step is its own root
-    steps += 1
-    np.copyto(steps, np.multiply(u_pick, steps, out=u_branch), casting="unsafe")
-    # steps[r] is now where step r explores to: int(u * (r + 1))
-    counts = np.bincount(steps[_roots(ptr)[1:]], minlength=n)
+    index = np.int32 if n < 2**31 else np.int64
+    ptr, dest = np.empty(n, dtype=index), np.empty(n, dtype=index)
+    for b in blocks:
+        u = rng.random(b.stop - b.start)
+        steps = np.arange(b.start, b.stop)
+        np.copyto(ptr[b], u * (steps - 1), casting="unsafe")
+        ptr[b] += 1                         # step t copies step int(u * (t - 1)) + 1
+        np.copyto(ptr[b], steps, where=explore[b])  # an exploring step is its own root
+        np.copyto(dest[b], u * (steps + 1), casting="unsafe")  # it explores to int(u * (t + 1))
+    del explore
+    hits = dest[_roots(ptr)[1:]]
+    del ptr, dest                           # freed before bincount and DegreeSequence copy
+    counts = np.bincount(hits, minlength=n)
+    del hits
     counts += 1                             # each creator's arrival unit
     return DegreeSequence(counts=counts, steps=n - 1)
 
@@ -275,8 +284,8 @@ def degrees_csv(d: DegreeSequence) -> str:
     buffer per block, so no per-count `str` is built.
     """
     c = d.counts
-    return "".join(["count\n", *(_decimal_lines(c[i:i + _CSV_BLOCK])
-                                 for i in range(0, c.size, _CSV_BLOCK))])
+    return "".join(["count\n", *(_decimal_lines(c[i:i + _BLOCK])
+                                 for i in range(0, c.size, _BLOCK))])
 
 
 def _decimal_lines(v: np.ndarray) -> str:

@@ -279,7 +279,8 @@ _BLOCK = 1 << 13  # rows parsed at a time, so one block's field strings are aliv
 def parse_csv(path) -> ParseResult:
     """Read earnings records into an `EarningsTable`, rejecting malformed
     rows with diagnostics numbered by the physical line each row ends on.
-    Missing required columns raise SchemaError.
+    Missing required columns, or a row the csv module cannot read (a field
+    longer than `csv.field_size_limit()`), raise SchemaError.
 
     Blank lines are skipped. Rows are parsed a block at a time; each
     distinct `platforms`, `category` and `nsfw` text is parsed once.
@@ -289,12 +290,13 @@ def parse_csv(path) -> ParseResult:
     parts, diagnostics = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not data
         reader = csv.reader(fh)
-        header = next(reader, [])
+        rows = _rows(reader)
+        header = next(rows, [])
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
             raise SchemaError(f"missing required columns: {', '.join(missing)}")
         position = {name: i for i, name in enumerate(header)}  # the last of repeats
-        numbered = ((row, reader.line_num) for row in reader if row)
+        numbered = ((row, reader.line_num) for row in rows if row)
         while True:
             block = list(itertools.islice(numbered, _BLOCK))
             parts.append(_parse_block(block, position, decode, diagnostics))
@@ -310,6 +312,15 @@ def parse_csv(path) -> ParseResult:
         platform_sets=tuple(frozenset() if s is None else s
                             for s in decode["platforms"].values))
     return ParseResult(records=table, diagnostics=diagnostics)
+
+
+def _rows(reader):
+    """The rows of csv `reader`; a csv.Error becomes a SchemaError naming
+    the physical line it was raised on."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_block(block, position, decode, diagnostics) -> dict:
@@ -593,6 +604,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         raise DomainError(f"floor must be a finite number, got {floor}")
     check_min_tail(min_tail)
     refit = partial(select_xmin, min_tail=min_tail)
+    parsed = parse_csv(input)  # before the output directory is made
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -600,7 +612,6 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     def write(rel, text):
         outputs[rel] = write_artifact(outdir / rel, text)
 
-    parsed = parse_csv(input)
     if parsed.diagnostics:
         write("rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
         print(f"rejected {len(parsed.diagnostics)} malformed rows", file=sys.stderr)

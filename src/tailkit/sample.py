@@ -14,6 +14,8 @@ from .errors import DomainError, EmptySample, KindMismatch
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
+_BLOCK = 1 << 16  # values per block of the discrete integer check
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -38,14 +40,13 @@ class Sample:
             raise EmptySample("sample needs at least one observation")
         if not np.all(np.isfinite(v)):
             raise DomainError("sample values must be finite")
-        if np.all(v[1:] >= v[:-1]):
-            v = v.copy()  # detach from caller before freezing
-        else:
-            v = np.sort(v)
+        # the one n-sized copy, which detaches the values from the caller
+        v = v.copy() if np.all(v[1:] >= v[:-1]) else np.sort(v)
         if v[0] <= 0:
             raise DomainError("sample values must be > 0")
-        if self.kind == DISCRETE:
-            bad = v[v != np.floor(v)]
+        if self.kind == DISCRETE:  # a block at a time: no n-sized float temporary
+            bad = np.concatenate([b[b != np.floor(b)] for b in
+                                  (v[i:i + _BLOCK] for i in range(0, v.size, _BLOCK))])
             if bad.size:
                 raise KindMismatch(f"discrete sample holds {bad.size} non-integer "
                                    f"values (smallest {bad[0]:.10g})")
@@ -76,7 +77,8 @@ def make_sample(values, kind: str = CONTINUOUS) -> Sample:
     v = np.asarray(values, dtype=float).ravel()
     keep = np.isfinite(v) & (v > 0)
     rejected = int(v.size - keep.sum())
-    v = np.sort(v[keep])
+    if rejected:
+        v = v[keep]
     if v.size == 0:
         raise EmptySample(f"no positive finite values (rejected {rejected})")
     return Sample(values=v, kind=kind, n_rejected=rejected)

@@ -16,6 +16,9 @@ each resample drew values with `rng.choice`, sorted them and took their log
 (`tailkit.estimators._amse_curve` takes the log once per sample on a reversed
 view, so on the same strided path, and gathers it at sorted integer indices
 from the same draw; truncated at its hi, its curve must have the same bits),
+`bounds_gathered`, the scan's coarse KS bounds as they were computed
+from one flat gather per point (`tailkit.fit._Candidates.bounds` evaluates
+candidates x points as padded rows and must return the same bits),
 `degrees_csv_loop`, `series_csv_loop` and `render_svg_loop`, the text
 emitters that wrote one Python string per count, CSV row or SVG circle
 (`tailkit.growth.degrees_csv`, `tailkit.report.series_csv` and
@@ -202,6 +205,31 @@ def select_xmin_exhaustive(s, min_tail=50):
         alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
                    stderr=stderr, loglik=loglik, kind=s.kind)
+
+
+def bounds_gathered(c, idx, stride):
+    """`_Candidates.bounds` as it was: every candidate's points gathered
+    into one flat array per chunk of at most max(N/8, 2^14) points (or one
+    candidate's), with each point's candidate data gathered beside it, and
+    the gaps maximized per candidate by `np.maximum.reduceat`."""
+    n_dist = c.dv.size
+    k0 = c.k0[idx]
+    npts = (n_dist - k0 + stride - 1) // stride
+    ends = npts.cumsum()
+    budget = max(n_dist // 8, fit._LB_CHUNK_MIN)
+    lb = np.empty(idx.size)
+    lo = 0
+    while lo < idx.size:
+        base = ends[lo] - npts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        counts = npts[lo:hi]
+        starts = ends[lo:hi] - counts - base
+        rows = np.repeat(np.arange(lo, hi), counts)
+        step = np.arange(rows.size) - np.repeat(starts, counts)
+        pts = k0[rows] + stride[rows] * step
+        lb[lo:hi] = np.maximum.reduceat(c.gaps(pts, idx[rows]), starts)
+        lo = hi
+    return lb
 
 
 def ccdf_naive(values):

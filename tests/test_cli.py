@@ -550,6 +550,35 @@ def test_pipeline_runs_without_importing_scipy(fixture_csv, tmp_path):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["fit", "{pareto}", "--bootstrap", "100"],
+                                  ["compare", "{pareto}"],
+                                  ["simulate", "--model", "copy", "--nodes", "20000",
+                                   "--gamma", "0.2", "--fit", "--out", "{out}"]],
+                         ids=["fit", "compare", "simulate"])
+def test_commands_leave_numpy_ma_unloaded(argv, pareto_file, tmp_path):
+    # numpy's plain np.unique imports numpy.ma; these commands do not need it
+    argv = [a.format(pareto=pareto_file, out=tmp_path / "d.csv") for a in argv]
+    proc = _run_python("-c", "import sys; from tailkit.cli import main; "
+                       "code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)",
+                       *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_pipeline_names_the_line_of_an_over_long_field(fixture_csv, tmp_path):
+    # a field longer than csv.field_size_limit() is a schema error, not a crash
+    lines = fixture_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "long.csv"
+    path.write_text("".join([*lines[:4], f"c9,2020,a,{'x' * 140_000},false,1,1,1.0\n",
+                             *lines[4:]]), encoding="utf-8")
+    out = tmp_path / "out"
+    proc = _run_python("-m", "tailkit.cli", "pipeline", path, "--out", out)
+    assert proc.returncode == 2
+    assert "line 5: field larger than field limit (131072)" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("demo", ["01_power_law_basics", "02_tail_fitting",
                                   "03_estimator_comparison", "04_growth_models"])
 def test_demo_runs(demo, tmp_path):

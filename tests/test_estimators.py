@@ -160,6 +160,13 @@ def test_adjusted_hill_insufficient_grid():
         adjusted_hill(s, k=5)
 
 
+@pytest.mark.parametrize("k", [-3, 1])
+def test_adjusted_hill_rejects_k_below_two(k):
+    s = make_sample(np.arange(1.0, 400.0))
+    with pytest.raises(DomainError, match=f"need 2 <= k < n, got k={k}"):
+        adjusted_hill(s, k)
+
+
 # -- double bootstrap ----------------------------------------------------------------
 
 def test_double_bootstrap_recovery():

@@ -32,7 +32,7 @@ from tailkit.powerlaw import PowerLawModel, hurwitz_zeta, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import CONTINUOUS, DISCRETE, make_sample
 
-from oracles import select_xmin_exhaustive, select_xmin_naive
+from oracles import bounds_gathered, select_xmin_exhaustive, select_xmin_naive
 from samples import spliced
 
 
@@ -299,9 +299,11 @@ def test_pruned_scan_equals_exhaustive_scan_fixed_cases(case):
 @given(gen=st.sampled_from(["pareto", "lognormal", "tied", "discrete"]),
        n=st.integers(60, 3000),
        seed=st.integers(0, 2**32 - 1),
-       cap=st.sampled_from(["all", 64]))
-def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap):
-    # every stride the scan can reach: ceil(L/16), then / 4 down to 1
+       cap=st.sampled_from(["all", 64]),
+       chunk=st.sampled_from([fit_module._LB_CHUNK_MIN, 64]))
+def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap, chunk):
+    # every stride the scan can reach: ceil(L/16), then / 4 down to 1; at each,
+    # the padded candidate rows give the bits of one flat gather per point
     s = _scan_input(gen, n, seed)
     try:
         with patch.object(fit_module, "_CANDIDATE_CAP", _uncapped(n) if cap == "all" else cap):
@@ -311,11 +313,14 @@ def test_bounds_never_exceed_exact_ks_at_any_reachable_stride(gen, n, seed, cap)
     idx = np.arange(c.k0.size)
     exact = np.array([c.exact_ks(i) for i in idx])
     stride = -(-(c.dv.size - c.k0) // _LB_POINTS)
-    while True:
-        assert np.all(c.bounds(idx, stride) <= exact + _LB_MARGIN)
-        if np.all(stride == 1):
-            break
-        stride = np.maximum(stride // _LB_REFINE, 1)
+    with patch.object(fit_module, "_LB_CHUNK_MIN", chunk):
+        while True:
+            lb = c.bounds(idx, stride)
+            assert lb.tobytes() == bounds_gathered(c, idx, stride).tobytes()
+            assert np.all(lb <= exact + _LB_MARGIN)
+            if np.all(stride == 1):
+                break
+            stride = np.maximum(stride // _LB_REFINE, 1)
 
 
 @pytest.mark.parametrize("gen", ["pareto", "lognormal", "tied", "discrete"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 from unittest.mock import patch
 
@@ -150,6 +151,38 @@ def test_copy_equals_loop_oracle(gamma, floor, n):
         with patch.object(growth, "EXPLORATION_FLOOR", floor):
             assert np.array_equal(simulate_copy(n, gamma, seed).counts,
                                   simulate_copy_loop(n, gamma, seed).counts)
+
+
+@pytest.mark.parametrize("block, sizes", [(7, (1000, 1001, 1002)),
+                                          (64, (1023, 1024, 1025)),
+                                          (growth._BLOCK, (65_535, 65_536, 65_537))])
+def test_copy_equals_loop_oracle_across_block_boundaries(block, sizes):
+    # the uniforms are drawn a block at a time; the last block may be partial
+    with patch.object(growth, "_BLOCK", block):
+        for n in sizes:
+            assert np.array_equal(simulate_copy(n, 0.2, n).counts,
+                                  simulate_copy_loop(n, 0.2, n).counts)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes tracemalloc sees allocated during fn(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_copy_model_peak_memory():
+    # 7.6 MiB of counts: the model keeps a bool mask and int32 pointers
+    assert _traced_peak(simulate_copy, 10**6, 0.2, 7) <= 32 * 2**20
+
+
+def test_sample_of_copy_counts_peak_memory():
+    # one float copy of the counts and the sort that detaches it, 7.6 MiB each
+    counts = simulate_copy(10**6, 0.2, 7).counts
+    assert _traced_peak(make_sample, counts, kind=DISCRETE) <= 20 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
