@@ -172,7 +172,7 @@ def mle_alpha_discrete(tail, xmin: float):
     x = _tail_array(tail)
     if np.any(x != np.round(x)):
         raise KindMismatch("discrete tail must be integer-valued")
-    if xmin < 1 or xmin != int(xmin):
+    if not (xmin >= 1 and float(xmin).is_integer()):
         raise DomainError(f"discrete xmin must be an integer >= 1, got {xmin}")
     if x[0] < xmin:
         raise DomainError("tail values must be >= xmin")

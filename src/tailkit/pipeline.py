@@ -273,7 +273,7 @@ def _where(mask, message) -> dict:
     return {i: message(i) for i in np.flatnonzero(mask).tolist()}
 
 
-_BLOCK = 1 << 13  # rows parsed at a time, so one block's field strings are alive
+_BLOCK = 1 << 11  # rows parsed at a time, so one block's field strings are alive
 
 
 def parse_csv(path) -> ParseResult:
@@ -425,11 +425,9 @@ def fit_imputation(table: EarningsTable) -> ImputationModel:
     if observed.size < _MIN_TRAIN:
         raise SampleTooSmall(
             f"imputation needs >= {_MIN_TRAIN} observed rows, got {observed.size}")
-    ids = table.creator_id[observed].tolist()
-    rank = {c: i for i, c in enumerate(sorted(dict.fromkeys(ids)))}
-    rows = observed[np.lexsort((
-        table.earnings[observed], table.category_code[observed], table.year[observed],
-        np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))))]
+    rank = np.unique(table.creator_id[observed], return_inverse=True)[1]
+    rows = observed[np.lexsort((table.earnings[observed], table.category_code[observed],
+                                table.year[observed], rank))]
     categories = tuple(table.categories[c]
                        for c in np.unique(table.category_code[rows]).tolist())
     years = tuple(np.unique(table.year[rows]).tolist())

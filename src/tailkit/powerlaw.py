@@ -48,20 +48,21 @@ def convert_exponent(alpha: float, src: Convention, dst: Convention) -> float:
 
 @dataclass(frozen=True)
 class PowerLawModel:
-    """Power law with density exponent `alpha` above threshold `xmin`."""
+    """Power law with density exponent `alpha` above threshold `xmin`:
+    1 < alpha < inf and 0 < xmin < inf (an integer when discrete)."""
 
     alpha: float
     xmin: float
     kind: str = CONTINUOUS
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise DomainError(f"alpha must be > 1, got {self.alpha}")
-        if not self.xmin > 0.0:
-            raise DomainError(f"xmin must be > 0, got {self.xmin}")
+        if not 1.0 < self.alpha < np.inf:
+            raise DomainError(f"alpha must be > 1 and finite, got {self.alpha}")
+        if not 0.0 < self.xmin < np.inf:
+            raise DomainError(f"xmin must be > 0 and finite, got {self.xmin}")
         if self.kind not in (CONTINUOUS, DISCRETE):
             raise DomainError(f"unknown kind: {self.kind!r}")
-        if self.kind == DISCRETE and (self.xmin < 1 or self.xmin != int(self.xmin)):
+        if self.kind == DISCRETE and not float(self.xmin).is_integer():  # so xmin >= 1
             raise DomainError(f"discrete xmin must be an integer >= 1, got {self.xmin}")
 
 

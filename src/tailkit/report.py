@@ -187,10 +187,14 @@ def category_panel(fits: dict, obs_counts: dict):
 
 def csv_table(columns, rows) -> str:
     """CSV text: a header of `columns`, then one line per row, with floats
-    written as `.10g` and every other value as `str`."""
-    return ",".join(columns) + "\n" + "".join(
-        ",".join([f"{v:.10g}" if isinstance(v, float) else str(v) for v in row]) + "\n"
-        for row in rows)
+    written as `.10g` and every other value as `str`, quoted as RFC 4180
+    does (inner quotes doubled) when it holds a comma, a quote or a line break."""
+    def cell(v):
+        if isinstance(v, float):
+            return f"{v:.10g}"
+        v = str(v)
+        return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
+    return "".join(",".join(map(cell, row)) + "\n" for row in [columns, *rows])
 
 
 def series_csv(series: PlotSeries) -> str:
@@ -246,11 +250,12 @@ def render_svg(series_list, title: str = "") -> str:
 
     Log-scaled axes (with decade ticks) whenever any series is log-log;
     byte-deterministic for identical inputs. Raises RenderError on empty
-    input or on log-log and linear series mixed. A 'points' series is
-    placed as arrays, with `math.log10` per coordinate (`np.log10` differs
-    from it in the last bit on some inputs) and the same operation order
-    as a single point, then written with one `%` format, so its circles
-    are the bytes a per-point loop would write.
+    input or on log-log and linear series mixed. One array transform,
+    `place`, puts every element on the page: ticks, polyline vertices, bars
+    and their labels, and circles. On log axes it takes `math.log10` per
+    value (`np.log10` differs from it in the last bit on some inputs), then
+    scales each axis with the operations a single point would take, so
+    every coordinate is the byte a per-point loop would write.
     """
     if not series_list:
         raise RenderError("no series to render")
@@ -261,35 +266,30 @@ def render_svg(series_list, title: str = "") -> str:
         if len(s.points) == 0:
             raise RenderError(f"series {s.name!r} is empty")
 
-    xs = [x for s in series_list for x in s.points[:, 0].tolist()]
-    ys = [y for s in series_list for y in s.points[:, 1].tolist()]
-    has_bars = any(s.style == "bar" for s in series_list)
+    # per axis (x, y): data range, ticks, then the range in plotted units
+    lo = np.min([s.points.min(axis=0) for s in series_list], axis=0).tolist()
+    hi = np.max([s.points.max(axis=0) for s in series_list], axis=0).tolist()
     if loglog:
-        tx = lambda v: math.log10(v)
-        x_lo, x_hi = tx(min(xs)), tx(max(xs))
-        y_lo, y_hi = tx(min(ys)), tx(max(ys))
-        xticks = _ticks_log(min(xs), max(xs))
-        yticks = _ticks_log(min(ys), max(ys))
+        ticks = [_ticks_log(a, b) for a, b in zip(lo, hi)]
+        lo, hi = list(map(math.log10, lo)), list(map(math.log10, hi))
     else:
-        tx = lambda v: v
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = (0.0 if has_bars else min(ys)), max(ys)
-        xticks = _ticks_linear(x_lo, x_hi)
-        yticks = _ticks_linear(y_lo, y_hi)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        if any(s.style == "bar" for s in series_list):
+            lo[1] = 0.0
+        ticks = [_ticks_linear(a, b) for a, b in zip(lo, hi)]
+    hi = [b if b != a else a + 1.0 for a, b in zip(lo, hi)]
 
     width, height = 640, 480
     m_left, m_right, m_top, m_bot = 64, 16, 32, 48
     pw, ph = width - m_left - m_right, height - m_top - m_bot
+    frame = ((m_left, pw), (m_top + ph, -ph))  # pixel origin and signed span per axis
 
-    def px(v):
-        return m_left + (tx(v) - x_lo) / (x_hi - x_lo) * pw
-
-    def py(v):
-        return m_top + ph - (tx(v) - y_lo) / (y_hi - y_lo) * ph
+    def place(values, axis):
+        """Pixel coordinates of `values` along `axis` (0 for x, 1 for y)."""
+        v = np.asarray(values, dtype=np.float64)
+        if loglog:
+            v = np.fromiter(map(math.log10, v.tolist()), float, v.size)
+        origin, span = frame[axis]
+        return origin + (v - lo[axis]) / (hi[axis] - lo[axis]) * span
 
     out = io.StringIO()
     out.write('<?xml version="1.0" encoding="UTF-8"?>\n')
@@ -304,14 +304,12 @@ def render_svg(series_list, title: str = "") -> str:
               f'y2="{m_top + ph}" stroke="black"/>\n')
     out.write(f'<line x1="{m_left}" y1="{m_top}" x2="{m_left}" '
               f'y2="{m_top + ph}" stroke="black"/>\n')
-    for t in xticks:
-        x = px(t)
+    for t, x in zip(ticks[0], place(ticks[0], 0).tolist()):
         out.write(f'<line x1="{x:.2f}" y1="{m_top + ph}" x2="{x:.2f}" '
                   f'y2="{m_top + ph + 5}" stroke="black"/>\n')
         out.write(f'<text x="{x:.2f}" y="{m_top + ph + 18}" text-anchor="middle" '
                   f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>\n')
-    for t in yticks:
-        y = py(t)
+    for t, y in zip(ticks[1], place(ticks[1], 1).tolist()):
         out.write(f'<line x1="{m_left - 5}" y1="{y:.2f}" x2="{m_left}" '
                   f'y2="{y:.2f}" stroke="black"/>\n')
         out.write(f'<text x="{m_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
@@ -319,30 +317,26 @@ def render_svg(series_list, title: str = "") -> str:
     # series
     for si, s in enumerate(series_list):
         color = _SVG_PALETTE[si % len(_SVG_PALETTE)]
-        if s.style == "line":
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in s.points.tolist())
-            out.write(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                      f'stroke-width="1.5"/>\n')
-        elif s.style == "bar":
-            bw = pw / max(len(s.points), 1) * 0.7
-            for (x, y), lab in zip(s.points.tolist(), s.labels or [""] * len(s.points)):
-                cx = px(x)
-                out.write(f'<rect x="{cx - bw/2:.2f}" y="{py(y):.2f}" '
-                          f'width="{bw:.2f}" height="{m_top + ph - py(y):.2f}" '
+        cx, cy = place(s.points[:, 0], 0), place(s.points[:, 1], 1)
+        if s.style == "bar":
+            bw = pw / len(cx) * 0.7
+            for x, y, lab in zip(cx.tolist(), cy.tolist(), s.labels or [""] * len(cx)):
+                out.write(f'<rect x="{x - bw/2:.2f}" y="{y:.2f}" '
+                          f'width="{bw:.2f}" height="{m_top + ph - y:.2f}" '
                           f'fill="{color}" fill-opacity="0.8"/>\n')
                 if lab:
-                    out.write(f'<text x="{cx:.2f}" y="{m_top + ph + 32}" '
+                    out.write(f'<text x="{x:.2f}" y="{m_top + ph + 32}" '
                               f'text-anchor="middle" font-family="sans-serif" '
                               f'font-size="10">{_escape(str(lab))}</text>\n')
         else:
-            lx, ly = s.points.T
-            if loglog:
-                lx, ly = (np.fromiter(map(math.log10, v.tolist()), float, v.size)
-                          for v in (lx, ly))
-            cxy = np.column_stack((m_left + (lx - x_lo) / (x_hi - x_lo) * pw,
-                                   m_top + ph - (ly - y_lo) / (y_hi - y_lo) * ph))
-            out.write((f'<circle cx="%.2f" cy="%.2f" r="2" fill="{color}"/>\n'
-                       * len(cxy)) % tuple(cxy.ravel().tolist()))
+            cxy = tuple(np.column_stack((cx, cy)).ravel().tolist())
+            if s.style == "line":
+                pts = " ".join(["%.2f,%.2f"] * len(cx)) % cxy
+                out.write(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                          f'stroke-width="1.5"/>\n')
+            else:
+                out.write((f'<circle cx="%.2f" cy="%.2f" r="2" fill="{color}"/>\n'
+                           * len(cx)) % cxy)
         out.write(f'<text x="{m_left + pw - 8}" y="{m_top + 14 + 14 * si}" '
                   f'text-anchor="end" font-family="sans-serif" font-size="11" '
                   f'fill="{color}">{_escape(s.name)}</text>\n')

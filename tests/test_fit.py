@@ -94,6 +94,9 @@ def test_mle_discrete_degenerate():
 def test_mle_discrete_rejects_non_integers():
     with pytest.raises(KindMismatch):
         mle_alpha_discrete([2.5, 3.0, 4.0], xmin=2)
+    for xmin in (2.5, 0.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="discrete xmin must be an integer >= 1"):
+            mle_alpha_discrete([2.0, 3.0, 4.0], xmin=xmin)
 
 
 def test_mle_discrete_at_search_edge_raises():

@@ -534,3 +534,28 @@ def test_run_pipeline_matches_the_row_oracle_flow(tmp_path, monkeypatch, capsys)
         {k: v for k, v in rows.items() if k not in ("wall_clock_s", "input")}
     assert json.loads((tmp_path / "rows" / "manifest.json").read_text())["input"] == \
         columnar["input"]
+
+
+def test_category_text_with_commas_and_quotes_writes_well_formed_csv(tmp_path):
+    p = tmp_path / "f.csv"
+    write_fixture(p, n_rows=3000, seed=13)
+    renamed = {"comics": "comics, manga", "music": 'say "hi"'}
+    with open(p, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows({**r, "category": renamed.get(r["category"], r["category"])}
+                         for r in rows)
+    manifest = run_pipeline(p, tmp_path / "out", floor=10.0, floor_inclusive=False,
+                            min_tail=50, bootstrap=0, seed=4, workers=1)
+    tables = {}
+    for rel in manifest["outputs"]:
+        if rel.endswith(".csv"):
+            with open(tmp_path / "out" / rel, newline="", encoding="utf-8") as fh:
+                header, *body = csv.reader(fh)
+            assert all(len(row) == len(header) for row in body), rel
+            tables[rel] = body
+    for rel, column in (("alpha_by_category.csv", 0),
+                        ("figures/alpha_by_category_alpha.csv", 2)):
+        assert set(renamed.values()) <= {row[column] for row in tables[rel]}

@@ -44,6 +44,12 @@ def test_model_rejects_bad_params():
         PowerLawModel(alpha=2.0, xmin=0.0)
     with pytest.raises(DomainError):
         PowerLawModel(alpha=2.0, xmin=2.5, kind="discrete")
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="alpha must be > 1"):
+            PowerLawModel(alpha=alpha, xmin=1.0)
+    for kind in ("continuous", "discrete"):
+        with pytest.raises(DomainError, match="xmin must be > 0"):
+            PowerLawModel(alpha=2.0, xmin=math.inf, kind=kind)
 
 
 # -- ccdf/cdf ------------------------------------------------------------------

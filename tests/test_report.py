@@ -345,14 +345,18 @@ def test_svg_and_series_csv_equal_the_per_point_oracles(figure, title):
         assert series_csv(s) == series_csv_loop(s)
 
 
-def test_svg_points_take_math_log10():
-    # np.log10(x) is one ulp below math.log10(x), which would move this
-    # circle's cx from the exact tie 300.375 (written "300.38") to 300.3749...
+@pytest.mark.parametrize("style, element", [
+    ("points", '<circle cx="300.38" cy="432.00"'),
+    ("line", '<polyline points="64.00,432.00 300.38,432.00 624.00,432.00"'),
+], ids=["points", "line"])
+def test_svg_points_take_math_log10(style, element):
+    # np.log10(x) is one ulp below math.log10(x), which would move the middle
+    # point's x from the exact tie 300.375 (written "300.38") to 300.3749...
     x, x_max = 14.274577243083408, 543.6198222429541
     assert np.log10(x) < math.log10(x)
-    s = PlotSeries(name="tie", points=((1.0, 1.0), (x, 1.0), (x_max, 1.0)))
+    s = PlotSeries(name="tie", points=((1.0, 1.0), (x, 1.0), (x_max, 1.0)), style=style)
     svg = render_svg([s])
-    assert '<circle cx="300.38" cy="432.00"' in svg
+    assert element in svg
     assert svg == render_svg_loop([s])
 
 
