@@ -4,14 +4,13 @@ The fit scans every distinct value as a candidate threshold, estimates the
 exponent above it by maximum likelihood, and keeps the candidate whose
 Kolmogorov-Smirnov distance is smallest (with a small noise allowance that
 prefers the largest statistically equivalent tail). A semiparametric
-bootstrap, refitting each replicate with the function that made the fit,
-then asks: would data generated by the fitted model look this bad? A small
-p-value says the power law is implausible.
+bootstrap, refitting each replicate the way the fit was made (rescanned
+with its min_tail, or above its xmin for a fixed threshold), then asks:
+would data generated by the fitted model look this bad? A small p-value
+says the power law is implausible.
 
 Run:  python demos/02_tail_fitting.py
 """
-
-from functools import partial
 
 import numpy as np
 
@@ -48,9 +47,8 @@ print(f"  selected threshold {fit2.xmin:.2f} (splice at 5), "
 
 # --- exponential data: the power-law hypothesis should fail ------------------
 expo = make_sample(make_rng(5).exponential(3.0, 5000) + 1.0)
-fit_substantive = partial(select_xmin, min_tail=500)  # keep the tail substantive
-fit3 = fit_substantive(expo)
-g3 = gof_pvalue(expo, fit3, n_boot=100, seed=5, refit=fit_substantive)  # refit the same way
+fit3 = select_xmin(expo, min_tail=500)  # keep the tail substantive
+g3 = gof_pvalue(expo, fit3, n_boot=100, seed=5)  # rescanned with min_tail=500 too
 print("\nexponential data dressed as a power law:")
 print(f"  best-effort alpha = {fit3.alpha:.2f} above {fit3.xmin:.2f}, "
       f"KS = {fit3.ks:.3f}")

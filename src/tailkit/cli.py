@@ -19,7 +19,6 @@ import itertools
 import json
 import os
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +45,7 @@ from .growth import (
     theoretical_alpha,
 )
 from .pipeline import run_pipeline
+from .rng import check_seed
 from .sample import CONTINUOUS, DISCRETE, make_sample
 
 DEFAULT_SEED = 20240301
@@ -81,8 +81,11 @@ def _read_column(path) -> np.ndarray:
     blocks = []
     with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is not data
         for start in itertools.count(0, _READ_BLOCK):
-            fields = [line.strip().split(",")[0]
-                      for line in itertools.islice(fh, _READ_BLOCK)]
+            try:
+                fields = [line.strip().split(",")[0]
+                          for line in itertools.islice(fh, _READ_BLOCK)]
+            except UnicodeDecodeError:  # decoding runs ahead of the lines: no line is named
+                raise SchemaError(f"{path}: not valid UTF-8") from None
             if not fields:
                 break
             if start == 0 and not _is_number(fields[0]):
@@ -116,15 +119,13 @@ def cmd_fit(args) -> int:
     values = _read_column(args.input)
     sample = make_sample(values, kind=args.kind)
     if args.xmin is None:
-        fitter = partial(select_xmin, min_tail=args.min_tail)
+        fit = select_xmin(sample, args.min_tail)
     else:
         check_min_tail(args.min_tail, len(sample))  # --min-tail binds without a scan too
-        fitter = partial(fit_at, xmin=args.xmin)
-    fit = fitter(sample)
+        fit = fit_at(sample, args.xmin)
     gof = None
     if args.bootstrap:
-        gof = gof_pvalue(sample, fit, n_boot=args.bootstrap, seed=args.seed,
-                         refit=fitter, workers=workers)
+        gof = gof_pvalue(sample, fit, n_boot=args.bootstrap, seed=args.seed, workers=workers)
     report = fit_report(fit, n=len(sample), gof=gof, seed=args.seed)
     report["proportion"] = power_law_proportion(sample, fit)
     report["n_rejected"] = sample.n_rejected
@@ -250,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        check_seed(args.seed)  # every command takes --seed
         return args.func(args)
     except (TailkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -70,7 +70,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TailFit:
-    """Fitted tail: density exponent, threshold, and fit diagnostics."""
+    """Fitted tail: density exponent, threshold, and fit diagnostics. `min_tail`
+    is the scan's (`select_xmin`), or None for a fixed threshold (`fit_at`)."""
 
     alpha: float
     xmin: float
@@ -79,6 +80,7 @@ class TailFit:
     stderr: float
     loglik: float
     kind: str = CONTINUOUS
+    min_tail: int | None = None
 
     def model(self) -> PowerLawModel:
         return PowerLawModel(alpha=self.alpha, xmin=self.xmin, kind=self.kind)
@@ -387,7 +389,7 @@ def select_xmin(s: Sample, min_tail: int = 50) -> TailFit:
     xmin = float(c.dv[c.k0[i]])
     alpha, stderr, loglik = _mle(x[n - m:], xmin, s.kind)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=float(ks[i]),
-                   stderr=stderr, loglik=loglik, kind=s.kind)
+                   stderr=stderr, loglik=loglik, kind=s.kind, min_tail=min_tail)
 
 
 def fit_at(s: Sample, xmin: float) -> TailFit:
@@ -430,14 +432,13 @@ def check_n_boot(n_boot: int) -> None:
         raise DomainError(f"n_boot must be >= 100, got {n_boot}")
 
 
-def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
-               refit=select_xmin, workers: int = 1) -> GofResult:
+def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int, workers: int = 1) -> GofResult:
     """Semiparametric bootstrap p-value for the fitted tail.
 
     Each replicate draws |s| observations: with probability n_tail/n from the
     fitted power law above xmin, otherwise uniformly from the empirical body
-    below xmin. Replicates are refit with `refit`, a picklable Sample ->
-    TailFit: the function that made `fit`, say `partial(fit_at, xmin=2.0)`.
+    below xmin. Each replicate is refit the way `fit` was made: a scanned fit
+    is rescanned with its `min_tail`, and a fixed fit is refit above its xmin.
     The p-value is the exact fraction with KS distance >= the observed one;
     a replicate whose draws overflow or whose refit raises counts as >= and
     is reported in `n_failed`. Replicate streams derive from (seed, index),
@@ -448,6 +449,8 @@ def gof_pvalue(s: Sample, fit: TailFit, n_boot: int, seed: int,
     check_n_boot(n_boot)
     if fit.kind != s.kind:
         raise KindMismatch(f"a {fit.kind} fit cannot be tested on a {s.kind} sample")
+    refit = (partial(fit_at, xmin=fit.xmin) if fit.min_tail is None
+             else partial(select_xmin, min_tail=fit.min_tail))
     replicate = partial(_one_replicate, s, fit, refit, seed)
     workers = min(workers, n_boot, os.cpu_count() or 1)
     if workers > 1:

@@ -250,6 +250,8 @@ def gamma_sweep(gammas, n_nodes: int, seeds_per_gamma: int, seed: int):
     for g in gammas:
         if not 0.0 <= g <= 0.9:
             raise DomainError(f"sweep gamma must lie in [0, 0.9], got {g}")
+    if seeds_per_gamma < 1:
+        raise DomainError(f"seeds_per_gamma must be >= 1, got {seeds_per_gamma}")
     rows = []
     for gi, g in enumerate(sorted(gammas)):
         alphas = []

@@ -30,7 +30,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,6 +54,7 @@ from .report import (
     sha256,
     write_artifact,
 )
+from .rng import check_seed
 from .sample import CONTINUOUS, Sample, make_sample
 
 KNOWN_PLATFORMS = ("facebook", "instagram", "twitch", "twitter", "youtube")
@@ -106,29 +107,6 @@ class EarningsTable:
     category_code: np.ndarray
     platform_sets: tuple
     categories: tuple
-
-    @classmethod
-    def from_records(cls, records) -> "EarningsTable":
-        """The table of an iterable of `EarningsRecord`s, in their order."""
-        rows = list(records)
-        sets = {}
-        platform_code = [sets.setdefault(r.platforms, len(sets)) for r in rows]
-        categories = tuple(sorted({r.category for r in rows}))
-        category_code = [categories.index(r.category) for r in rows]
-
-        def column(name, dtype):
-            return np.array([getattr(r, name) for r in rows], dtype=dtype)
-
-        return cls(
-            creator_id=column("creator_id", object), year=column("year", np.int64),
-            members=column("members", np.int64),
-            paid_members=column("paid_members", np.int64),
-            earnings=np.array([math.nan if r.earnings is None else r.earnings
-                               for r in rows], dtype=float),
-            nsfw=column("nsfw", bool), imputed=column("imputed", bool),
-            platform_code=np.array(platform_code, dtype=np.intp),
-            category_code=np.array(category_code, dtype=np.intp),
-            platform_sets=tuple(sets), categories=categories)
 
     def __len__(self):
         return self.year.size
@@ -279,8 +257,9 @@ _BLOCK = 1 << 11  # rows parsed at a time, so one block's field strings are aliv
 def parse_csv(path) -> ParseResult:
     """Read earnings records into an `EarningsTable`, rejecting malformed
     rows with diagnostics numbered by the physical line each row ends on.
-    Missing required columns, or a row the csv module cannot read (a field
-    longer than `csv.field_size_limit()`), raise SchemaError.
+    Missing required columns, a row the csv module cannot read (a field
+    longer than `csv.field_size_limit()`), or text that is not UTF-8 raise
+    SchemaError.
 
     Blank lines are skipped. Rows are parsed a block at a time; each
     distinct `platforms`, `category` and `nsfw` text is parsed once.
@@ -290,7 +269,7 @@ def parse_csv(path) -> ParseResult:
     parts, diagnostics = [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not data
         reader = csv.reader(fh)
-        rows = _rows(reader)
+        rows = _rows(reader, path)
         header = next(rows, [])
         missing = [c for c in CSV_COLUMNS if c not in header]
         if missing:
@@ -314,13 +293,16 @@ def parse_csv(path) -> ParseResult:
     return ParseResult(records=table, diagnostics=diagnostics)
 
 
-def _rows(reader):
-    """The rows of csv `reader`; a csv.Error becomes a SchemaError naming
-    the physical line it was raised on."""
+def _rows(reader, path):
+    """The rows of csv `reader` over the file at `path`. A csv.Error becomes a
+    SchemaError naming the physical line it was raised on; text that is not
+    UTF-8, one naming the file (decoding runs ahead of the lines)."""
     try:
         yield from reader
     except csv.Error as exc:
         raise SchemaError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise SchemaError(f"{path}: not valid UTF-8") from None
 
 
 def _parse_block(block, position, decode, diagnostics) -> dict:
@@ -601,7 +583,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     if not math.isfinite(floor):
         raise DomainError(f"floor must be a finite number, got {floor}")
     check_min_tail(min_tail)
-    refit = partial(select_xmin, min_tail=min_tail)
+    check_seed(seed)
     parsed = parse_csv(input)  # before the output directory is made
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -644,8 +626,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         s = buckets[p]
         gof = None
         if bootstrap:
-            gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, refit=refit,
-                             workers=workers)
+            gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, workers=workers)
         write(f"fits/{p}.json", _json(fit_report(fit, n=len(s), gof=gof, seed=seed)))
         figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
         figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]

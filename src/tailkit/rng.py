@@ -8,6 +8,14 @@ execution order or thread count.
 
 import numpy as np
 
+from .errors import DomainError
+
+
+def check_seed(*values: int) -> None:
+    """Raise DomainError, naming the value, for a negative seed or stream index."""
+    if any(v < 0 for v in values):
+        raise DomainError(f"seeds and stream indices must be >= 0, got {min(values)}")
+
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Generator for `seed`, optionally on a derived sub-stream.
@@ -15,5 +23,6 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     `make_rng(seed, i)` yields an independent stream per index `i`, used for
     bootstrap replicates and simulation sweeps.
     """
+    check_seed(seed, *stream)
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))

@@ -57,6 +57,7 @@ from tailkit.pipeline import (
     OPTIONAL_COLUMNS,
     PLATFORM,
     EarningsRecord,
+    EarningsTable,
     ImputationModel,
     ParseResult,
 )
@@ -204,7 +205,7 @@ def select_xmin_exhaustive(s, min_tail=50):
     else:
         alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
-                   stderr=stderr, loglik=loglik, kind=s.kind)
+                   stderr=stderr, loglik=loglik, kind=s.kind, min_tail=min_tail)
 
 
 def bounds_gathered(c, idx, stride):
@@ -545,6 +546,28 @@ def read_column_loop(path) -> np.ndarray:
 
 
 # -- the earnings pipeline, one record at a time ------------------------------------
+
+def table_from_records(records) -> EarningsTable:
+    """The table of an iterable of `EarningsRecord`s, in their order."""
+    rows = list(records)
+    sets = {}
+    platform_code = [sets.setdefault(r.platforms, len(sets)) for r in rows]
+    categories = tuple(sorted({r.category for r in rows}))
+    category_code = [categories.index(r.category) for r in rows]
+
+    def column(name, dtype):
+        return np.array([getattr(r, name) for r in rows], dtype=dtype)
+
+    return EarningsTable(
+        creator_id=column("creator_id", object), year=column("year", np.int64),
+        members=column("members", np.int64), paid_members=column("paid_members", np.int64),
+        earnings=np.array([math.nan if r.earnings is None else r.earnings
+                           for r in rows], dtype=float),
+        nsfw=column("nsfw", bool), imputed=column("imputed", bool),
+        platform_code=np.array(platform_code, dtype=np.intp),
+        category_code=np.array(category_code, dtype=np.intp),
+        platform_sets=tuple(sets), categories=categories)
+
 
 def parse_csv_rows(path) -> ParseResult:
     """Earnings rows read by `csv.DictReader` into a list of records.

@@ -24,14 +24,13 @@ from tailkit.growth import (
     simulate_ba,
     simulate_copy,
 )
-from tailkit.pipeline import (EarningsTable, parse_csv, segment_single_platform,
-                              summary_stats)
+from tailkit.pipeline import parse_csv, segment_single_platform, summary_stats
 from tailkit.powerlaw import PowerLawModel, ks_distance, pl_sample
 from tailkit.report import spearman
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
 
-from oracles import ks_naive, select_xmin_naive, summary_naive
+from oracles import ks_naive, select_xmin_naive, summary_naive, table_from_records
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "..", "data",
                        "earnings_fixture.csv")
@@ -145,8 +144,7 @@ def test_criterion_5_goodness_of_fit_calibration():
     for i in range(20):
         s = pl_sample(PowerLawModel(alpha=2.3, xmin=1.0), 2500, seed=300 + i)
         fit = fit_pl(s)
-        g = gof_pvalue(s, fit, n_boot=100, seed=300 + i, refit=fit_pl,
-                       workers=_WORKERS)
+        g = gof_pvalue(s, fit, n_boot=100, seed=300 + i, workers=_WORKERS)
         plausible += g.p_value >= 0.1
 
     fit_exp = partial(select_xmin, min_tail=500)
@@ -155,8 +153,7 @@ def test_criterion_5_goodness_of_fit_calibration():
         rng = make_rng(400 + i)
         s = make_sample(rng.exponential(3.0, 5000) + 1.0)
         fit = fit_exp(s)
-        g = gof_pvalue(s, fit, n_boot=100, seed=400 + i, refit=fit_exp,
-                       workers=_WORKERS)
+        g = gof_pvalue(s, fit, n_boot=100, seed=400 + i, workers=_WORKERS)
         rejected += g.p_value < 0.1
 
     ok = plausible >= 16 and rejected >= 16
@@ -194,7 +191,7 @@ def test_criterion_7_pipeline_fidelity(tmp_path, capsys):
     # summary statistics against the brute-force reimplementation
     records = parse_csv(FIXTURE).records
     observed = [r for r in records if r.earnings is not None and r.earnings > 10.0]
-    buckets = segment_single_platform(EarningsTable.from_records(observed))
+    buckets = segment_single_platform(table_from_records(observed))
     stats_ok = True
     for platform, sample in buckets.items():
         got = summary_stats(sample, platform)

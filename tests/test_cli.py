@@ -422,6 +422,52 @@ def test_workers_variable_must_be_positive(workers, pareto_file, monkeypatch, ca
     assert f"error: TAILKIT_WORKERS must be >= 1, got {workers}" in err
 
 
+def test_make_rng_rejects_a_negative_seed_or_stream_index():
+    with pytest.raises(errors.DomainError, match="must be >= 0, got -1"):
+        make_rng(-1)
+    with pytest.raises(errors.DomainError, match="must be >= 0, got -2"):
+        make_rng(3, 0, -2)
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "compare", "pipeline"])
+def test_a_negative_seed_exits_2_before_any_command_runs(command, pareto_file, fixture_csv,
+                                                         tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = {"fit": [str(pareto_file)], "compare": [str(pareto_file)],
+            "simulate": ["--model", "copy", "--nodes", "2000", "--out", str(out)],
+            "pipeline": [str(fixture_csv), "--out", str(out), "--bootstrap", "100"]}
+    code, stdout, err = run_cli(capsys, command, *argv[command], "--seed", "-1")
+    assert (code, stdout) == (2, "")
+    assert "error: seeds and stream indices must be >= 0, got -1" in err
+    assert not out.exists()
+
+
+def test_run_pipeline_checks_the_seed_before_writing(fixture_csv, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(errors.DomainError, match="got -5"):
+        run_pipeline(fixture_csv, out, floor=10.0, floor_inclusive=False, min_tail=50,
+                     bootstrap=100, seed=-5, workers=1)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "compare", "pipeline"])
+def test_input_that_is_not_utf8_is_a_schema_error(command, pareto_file, fixture_csv,
+                                                  tmp_path, capsys):
+    # the bad byte sits past the first chunk of text the reader decodes
+    source = fixture_csv if command == "pipeline" else pareto_file
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[-2] = (b"c9,2021,,m\xe9sic,false,3,1,20.0\n" if command == "pipeline"
+                 else b"\xff\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    argv = ["--out", str(out)] if command == "pipeline" else []
+    code, stdout, err = run_cli(capsys, command, str(bad), *argv)
+    assert (code, stdout) == (2, "")
+    assert f"error: {bad}: not valid UTF-8" in err
+    assert not out.exists()
+
+
 # the documented exit code of every error class: 1 I/O, 2 schema or
 # configuration, 3 sample too small, 4 degenerate data
 DOCUMENTED_EXIT_CODES = {

@@ -227,6 +227,13 @@ def test_fit_at_skips_scan():
     assert fit.n_tail == int((s.values >= 2.0).sum())
 
 
+def test_a_fit_records_the_min_tail_of_its_scan():
+    s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 5000, seed=3)
+    assert select_xmin(s, 80).min_tail == 80
+    assert select_xmin(s).min_tail == 50
+    assert fit_at(s, 2.0).min_tail is None
+
+
 def test_select_xmin_exhaustive_when_under_cap():
     # cap larger than the number of distinct values must not change anything
     s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 300, seed=23)

@@ -50,13 +50,35 @@ def test_gof_rejects_tiny_n_boot(pareto_fit):
 
 
 def test_gof_deterministic_and_worker_invariant(pareto_fit):
-    s, fit = pareto_fit
-    a = gof_pvalue(s, fit, n_boot=100, seed=21)
-    b = gof_pvalue(s, fit, n_boot=100, seed=21)
-    c = gof_pvalue(s, fit, n_boot=100, seed=21, workers=2)
-    assert a.p_value == b.p_value == c.p_value
-    d = gof_pvalue(s, fit, n_boot=100, seed=22)
-    assert d.seed != a.seed
+    s, scanned = pareto_fit
+    for fit in (scanned, fit_at(s, 2.0)):  # the pool pickles either derived refit
+        a = gof_pvalue(s, fit, n_boot=100, seed=21)
+        b = gof_pvalue(s, fit, n_boot=100, seed=21)
+        c = gof_pvalue(s, fit, n_boot=100, seed=21, workers=2)
+        assert a.p_value == b.p_value == c.p_value
+        d = gof_pvalue(s, fit, n_boot=100, seed=22)
+        assert d.seed != a.seed
+
+
+@pytest.mark.parametrize("name, other, make_fit, bound", [
+    ("fit_at", "select_xmin", lambda s: fit_at(s, 2.0), {"xmin": 2.0}),
+    ("select_xmin", "fit_at", lambda s: select_xmin(s, 80), {"min_tail": 80})],
+    ids=["fixed", "scanned"])
+def test_gof_refits_each_replicate_the_way_its_fit_was_made(name, other, make_fit, bound,
+                                                             pareto_fit, monkeypatch):
+    s, _ = pareto_fit
+    fit = make_fit(s)
+    original, calls = getattr(tailkit.fit, name), []
+
+    def spy(sample, **kwargs):
+        calls.append(kwargs)
+        return original(sample, **kwargs)
+
+    # the refit is looked up in tailkit.fit when gof_pvalue runs
+    monkeypatch.setattr(tailkit.fit, name, spy)
+    monkeypatch.setattr(tailkit.fit, other, None)  # never called
+    gof_pvalue(s, fit, n_boot=100, seed=8)
+    assert calls == [bound] * 100
 
 
 @pytest.mark.parametrize("workers, cpus, pool_size", [
@@ -103,18 +125,19 @@ def test_gof_all_tail_sample():
     assert 0.0 <= g.p_value <= 1.0
 
 
-def test_gof_reports_failed_replicates(pareto_fit):
+def test_gof_reports_failed_replicates(pareto_fit, monkeypatch):
     s, fit = pareto_fit
     base = gof_pvalue(s, fit, n_boot=100, seed=4)
     calls = []
 
-    def first_three_fail(sample):
+    def first_three_fail(sample, min_tail):
         calls.append(1)
         if len(calls) <= 3:
             raise DegenerateTail("forced")
-        return select_xmin(sample)
+        return select_xmin(sample, min_tail)
 
-    g = gof_pvalue(s, fit, n_boot=100, seed=4, refit=first_three_fail)
+    monkeypatch.setattr(tailkit.fit, "select_xmin", first_three_fail)
+    g = gof_pvalue(s, fit, n_boot=100, seed=4)
     assert g.n_failed == 3
     # a failed replicate counts as a KS at least the observed one
     assert g.p_value >= 0.03

@@ -91,13 +91,13 @@ def test_copy_gamma_one_is_uniform():
     # pure exploration: thin, exponential-type tail; with the fitted tail
     # required to hold a substantive share of the data, the power-law null
     # should be rejected for nearly all seeds
-    refit = partial(select_xmin, min_tail=2000)
+    fit_substantive = partial(select_xmin, min_tail=2000)
     rejected = 0
     for seed in range(10):
         d = simulate_copy(100_000, gamma=1.0, seed=100 + seed)
         s = make_sample(d.counts, kind=DISCRETE)
-        fit = refit(s)
-        g = gof_pvalue(s, fit, n_boot=100, seed=seed, refit=refit)
+        fit = fit_substantive(s)
+        g = gof_pvalue(s, fit, n_boot=100, seed=seed)
         rejected += g.p_value < 0.1
     assert rejected >= 8
 
@@ -230,6 +230,12 @@ def test_measure_exponent_deterministic():
     assert f1 == f2
 
 
+def test_measure_exponent_records_the_min_tail_of_its_scan():
+    d = simulate_copy(20_000, gamma=0.3, seed=5)
+    assert measure_exponent(d).min_tail == 50
+    assert measure_exponent(d, min_tail=40).min_tail == 40
+
+
 def test_gamma_sweep_rows_and_monotonicity():
     rows = gamma_sweep([0.5, 0.0], n_nodes=60_000, seeds_per_gamma=2, seed=31)
     assert [r[0] for r in rows] == [0.0, 0.5]
@@ -245,6 +251,13 @@ def test_gamma_sweep_empty():
 def test_gamma_sweep_domain():
     with pytest.raises(DomainError):
         gamma_sweep([0.95], n_nodes=5000, seeds_per_gamma=1, seed=1)
+
+
+@pytest.mark.parametrize("seeds_per_gamma", [0, -1])
+def test_gamma_sweep_needs_a_run_per_gamma(seeds_per_gamma):
+    # no run would leave a nan mean under an n_runs of 0
+    with pytest.raises(DomainError, match=f"seeds_per_gamma must be >= 1, got {seeds_per_gamma}"):
+        gamma_sweep([0.2], n_nodes=5000, seeds_per_gamma=seeds_per_gamma, seed=1)
 
 
 # -- exports ------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from tailkit.pipeline import (
     PLATFORM,
     PLATFORM_YEAR,
     EarningsRecord,
-    EarningsTable,
     PlatformStats,
     fit_imputation,
     filter_floor,
@@ -45,7 +44,7 @@ def rec(creator_id="c1", year=2021, platforms=(), category="music", nsfw=False,
 
 
 def table(*records):
-    return EarningsTable.from_records(records)
+    return oracles.table_from_records(records)
 
 
 # -- parsing -----------------------------------------------------------------
