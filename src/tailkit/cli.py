@@ -16,7 +16,7 @@ for bootstrap replicates.
 
 import argparse
 import itertools
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -45,6 +45,7 @@ from .growth import (
     theoretical_alpha,
 )
 from .pipeline import run_pipeline
+from .report import json_text
 from .rng import check_seed
 from .sample import CONTINUOUS, DISCRETE, make_sample
 
@@ -129,7 +130,7 @@ def cmd_fit(args) -> int:
     report = fit_report(fit, n=len(sample), gof=gof, seed=args.seed)
     report["proportion"] = power_law_proportion(sample, fit)
     report["n_rejected"] = sample.n_rejected
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(report))
     return 0
 
 
@@ -156,13 +157,14 @@ def cmd_simulate(args) -> int:
     }
     if args.model == COPY:
         summary["gamma"] = gamma
-        summary["alpha_predicted"] = theoretical_alpha(gamma)
+        alpha = theoretical_alpha(gamma)  # inf at gamma 1: no power law forms
+        summary["alpha_predicted"] = alpha if math.isfinite(alpha) else None
     else:
         summary["m"] = m
     if args.fit:
         fit = measure_exponent(run)
         summary["fit"] = fit_report(fit, n=int(run.counts.size))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(summary))
     return 0
 
 
@@ -190,8 +192,8 @@ def cmd_pipeline(args) -> int:
                             floor_inclusive=args.floor_inclusive,
                             min_tail=args.min_tail, bootstrap=args.bootstrap,
                             seed=args.seed, workers=_workers())
-    print(json.dumps({"outputs": len(manifest["outputs"]),
-                      "out_dir": str(Path(args.out))}, sort_keys=True))
+    sys.stdout.write(json_text({"outputs": len(manifest["outputs"]),
+                                "out_dir": str(Path(args.out))}, indent=None))
     return 0
 
 

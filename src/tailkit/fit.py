@@ -221,10 +221,12 @@ _CANDIDATE_CAP = 512
 _KS_ALLOWANCE = {CONTINUOUS: 0.2, DISCRETE: 0.35}
 
 
-def _candidate_indices(dv, dcum, n, min_tail):
+def _candidate_indices(dv, dcum, n, min_tail, kind):
     n_tail = n - np.concatenate(([0], dcum[:-1]))
     cand = np.flatnonzero(n_tail >= min_tail)
     cand = cand[dv[cand] < dv[-1]]  # a tail of identical values is degenerate
+    if kind == DISCRETE:  # above ~1e65 zeta(alpha, xmin) underflows to 0: no likelihood
+        cand = cand[hurwitz_zeta(_ALPHA_HI, dv[cand]) > 0.0]
     if cand.size > _CANDIDATE_CAP:
         sel = np.round(np.linspace(0, cand.size - 1, _CANDIDATE_CAP)).astype(int)
         cand = cand[distinct_runs(sel)[0]]
@@ -250,7 +252,7 @@ class _Candidates:
         n = len(s)
         self.kind = s.kind
         self.dv, self.dcount, self.dcum, self.dt, wsuffix = _distinct_stats(s.values)
-        cand = _candidate_indices(self.dv, self.dcum, n, min_tail)
+        cand = _candidate_indices(self.dv, self.dcum, n, min_tail, self.kind)
         if cand.size == 0:
             raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
         below = np.concatenate(([0], self.dcum[:-1]))[cand]

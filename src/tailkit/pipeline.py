@@ -25,7 +25,6 @@ the physical line its record ends on.
 import csv
 import dataclasses
 import itertools
-import json
 import math
 import sys
 import time
@@ -48,6 +47,7 @@ from .report import (
     category_panel,
     ccdf_figure,
     csv_table,
+    json_text,
     median_vs_alpha,
     proportion_figure,
     save_figures,
@@ -567,10 +567,6 @@ def fit_groups(samples: dict, min_tail: int):
     return fits, skipped
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
                  seed, workers) -> dict:
     """Earnings CSV at `input` to the tables, fit reports, figures and
@@ -613,10 +609,10 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
     stats_list = [summary_stats(s, platform=p) for p, s in buckets.items()]
     nsfw_rows = nsfw_breakdown(records)
     write("table1_platform_stats.csv", stats_table_csv(stats_list))
-    write("table1_platform_stats.json", _json([vars(s) for s in stats_list]))
+    write("table1_platform_stats.json", json_text([vars(s) for s in stats_list]))
     write("table2_nsfw_breakdown.csv", nsfw_table_csv(nsfw_rows))
     write("table2_nsfw_breakdown.json",
-          _json([dict(zip(NSFW_COLUMNS, row)) for row in nsfw_rows]))
+          json_text([dict(zip(NSFW_COLUMNS, row)) for row in nsfw_rows]))
 
     skipped = {}
     figures = {}
@@ -627,7 +623,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         gof = None
         if bootstrap:
             gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, workers=workers)
-        write(f"fits/{p}.json", _json(fit_report(fit, n=len(s), gof=gof, seed=seed)))
+        write(f"fits/{p}.json", json_text(fit_report(fit, n=len(s), gof=gof, seed=seed)))
         figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
         figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]
 
@@ -683,5 +679,5 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         "stats": {"median_vs_alpha_spearman": rho},
         "wall_clock_s": round(time.perf_counter() - t0, 3),
     }
-    (outdir / "manifest.json").write_text(_json(manifest), encoding="utf-8")
+    (outdir / "manifest.json").write_text(json_text(manifest), encoding="utf-8")
     return manifest

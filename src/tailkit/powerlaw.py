@@ -132,63 +132,46 @@ def pl_pdf(model: PowerLawModel, x):
 def pl_ppf(model: PowerLawModel, u):
     """Quantile function: smallest x with CDF(x) >= u, u in [0, 1).
 
-    Continuous closed form: xmin * (1-u)^(-1/(alpha-1)). Discrete values are
-    found by inverting the zeta CCDF (binary search, vectorized via a
-    precomputed grid).
+    Continuous closed form: xmin * (1-u)^(-1/(alpha-1)). Discrete values
+    invert the zeta CCDF by one doubling-then-halving search over all draws
+    at once. A quantile past the float range is inf.
     """
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
         raise DomainError("u must lie in [0, 1)")
     if model.kind == CONTINUOUS:
         out = model.xmin * (1.0 - u) ** (-1.0 / (model.alpha - 1.0))
-        return float(out) if u.ndim == 0 else out
-    if u.ndim == 0:
-        return float(_discrete_ppf(model, u[None])[0])
-    return _discrete_ppf(model, u)
+    else:
+        out = _discrete_ppf(model, u)
+    return float(out) if u.ndim == 0 else out
 
 
 def _discrete_ppf(model: PowerLawModel, u):
-    """Vectorized discrete quantiles: smallest integer x with P(X >= x+1) <= 1-u."""
-    a, xm = model.alpha, int(model.xmin)
-    z0 = hurwitz_zeta(a, xm)
-    target = 1.0 - u  # want smallest x with S(x+1) <= target, S(y) = zeta(a,y)/z0
-    # grid of S over xm..xm+K, grown until it covers all but extreme draws;
-    # the handful of draws beyond the cap fall back to scalar bisection
-    K = 1024
-    tmin = target.min()
-    while True:
-        ys = np.arange(xm, xm + K + 2, dtype=float)
-        S = hurwitz_zeta(a, ys) / z0
-        if S[-1] <= tmin or K >= (1 << 18):
-            break
-        K *= 4
-    # S is decreasing in y; searchsorted on the reversed (ascending) array
-    rev = S[::-1]
-    pos = np.searchsorted(rev, target, side="right")
-    idx = S.size - pos  # first index with S[idx] <= target
-    out = np.empty(u.shape, dtype=float)
-    inside = idx < S.size
-    out[inside] = ys[idx[inside]] - 1.0
-    if not inside.all():  # extreme draws beyond the grid: scalar bisection
-        for i in np.flatnonzero(~inside):
-            lo, hi = xm + K, 2 * (xm + K)
-            while hurwitz_zeta(a, hi) / z0 > target[i]:
-                lo, hi = hi, 2 * hi
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if hurwitz_zeta(a, mid) / z0 > target[i]:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = hi - 1.0
-    return np.maximum(out, xm)
+    """The largest integer y >= xmin with P(X >= y) > 1-u, for each u. Each y
+    starts at xmin with step 1 and moves to y+step whenever P(X >= y+step) >
+    1-u; the step doubles until that first fails, then halves until below 1."""
+    target = 1.0 - u.ravel()
+    y = np.full(target.size, model.xmin, dtype=float)
+    step = np.ones(target.size)
+    doubling = np.ones(target.size, dtype=bool)
+    i = np.arange(target.size)  # draws still searching
+    with np.errstate(over="ignore"):
+        while i.size:
+            nxt = y[i] + step[i]
+            over = np.isinf(nxt)  # past the float range: the draw is inf
+            up = over | (pl_ccdf(model, nxt) > target[i])
+            y[i[up]] = nxt[up]
+            doubling[i] &= up
+            step[i] *= np.where(doubling[i], 2.0, 0.5)
+            i = i[(step[i] >= 1.0) & ~over]
+    return y.reshape(u.shape)
 
 
 def pl_sample(model: PowerLawModel, n: int, seed: int) -> Sample:
     """Draw n values by inverse-CDF sampling; deterministic for a fixed seed.
 
-    Raises DomainError when any draw overflows float64, which happens for
-    alpha close to 1 (the quantile grows like (1-u)^(-1/(alpha-1))).
+    Raises DomainError when any draw of either kind overflows float64, as
+    for alpha close to 1 (the quantile grows like (1-u)^(-1/(alpha-1))).
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

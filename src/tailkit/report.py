@@ -8,6 +8,7 @@ identical inputs, so golden-file comparisons work.
 
 import hashlib
 import io
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ __all__ = [
     "category_panel",
     "render_svg",
     "csv_table",
+    "json_text",
     "series_csv",
     "save_figures",
     "sha256",
@@ -157,14 +159,16 @@ def median_vs_alpha(stats_list, fits: dict):
     """Scatter rows (platform, median, alpha) plus the rank correlation.
 
     Platforms must appear in both inputs; with fewer than 3 common
-    platforms the correlation is omitted (None).
+    platforms, or when their medians or their alphas are all equal, the
+    correlation is undefined and omitted (None).
     """
     medians = {s.platform: s.median for s in stats_list}
     rows = [(p, medians[p], fits[p].alpha) for p in sorted(medians) if p in fits]
-    rho = None
     if len(rows) >= 3:
         rho = spearman([r[1] for r in rows], [r[2] for r in rows])
-    return rows, rho
+        if not math.isnan(rho):
+            return rows, rho
+    return rows, None
 
 
 def proportion_figure(proportions: dict) -> PlotSeries:
@@ -195,6 +199,13 @@ def csv_table(columns, rows) -> str:
         v = str(v)
         return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
     return "".join(",".join(map(cell, row)) + "\n" for row in [columns, *rows])
+
+
+def json_text(obj, indent=2) -> str:
+    """JSON text with sorted keys and a final newline. JSON has no NaN or
+    Infinity, so a non-finite float raises ValueError: an undefined value is
+    written as None (null) by the code that produces it."""
+    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
 
 def series_csv(series: PlotSeries) -> str:

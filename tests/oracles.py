@@ -11,6 +11,10 @@ same `TailFit`; it fits each discrete candidate with the library's
 depend on its batch), and `simulate_copy_loop` / `simulate_ba_loop`, the
 simulators that take one step per event (the pointer-jumping ones in
 `tailkit.growth` must return the same `counts` from the same seed),
+`discrete_ppf_grid`, the discrete quantile function as it was, a CCDF grid
+of up to 2^18 points with a per-draw bisection past it (`tailkit.powerlaw`'s
+doubling-then-halving search must return the same bits wherever the zeta
+CCDF is strictly decreasing in float64, checked below 10^13),
 `amse_curve_loop`, the double bootstrap's AMSE curve as it was computed when
 each resample drew values with `rng.choice`, sorted them and took their log
 (`tailkit.estimators._amse_curve` takes the log once per sample on a reversed
@@ -61,7 +65,7 @@ from tailkit.pipeline import (
     ImputationModel,
     ParseResult,
 )
-from tailkit.powerlaw import hurwitz_zeta
+from tailkit.powerlaw import PowerLawModel, hurwitz_zeta
 from tailkit.report import (
     _SVG_PALETTE,
     LOGLOG,
@@ -160,7 +164,7 @@ def select_xmin_exhaustive(s, min_tail=50):
         raise SampleTooSmall(f"need >= {min_tail} observations, got {n}")
 
     dv, dcount, dcum, dt, wsuffix = _distinct_stats(x)
-    cand = _candidate_indices(dv, dcum, n, min_tail)
+    cand = _candidate_indices(dv, dcum, n, min_tail, s.kind)
     if cand.size == 0:
         raise SampleTooSmall("no usable threshold candidates (tail too homogeneous)")
 
@@ -314,6 +318,43 @@ def discrete_ppf_naive(alpha, xmin, u):
         if cdf >= u:
             return x
         x += 1
+
+
+def discrete_ppf_grid(model: PowerLawModel, u):
+    """Vectorized discrete quantiles: smallest integer x with P(X >= x+1) <= 1-u."""
+    a, xm = model.alpha, int(model.xmin)
+    z0 = hurwitz_zeta(a, xm)
+    target = 1.0 - u  # want smallest x with S(x+1) <= target, S(y) = zeta(a,y)/z0
+    # grid of S over xm..xm+K, grown until it covers all but extreme draws;
+    # the handful of draws beyond the cap fall back to scalar bisection
+    K = 1024
+    tmin = target.min()
+    while True:
+        ys = np.arange(xm, xm + K + 2, dtype=float)
+        S = hurwitz_zeta(a, ys) / z0
+        if S[-1] <= tmin or K >= (1 << 18):
+            break
+        K *= 4
+    # S is decreasing in y; searchsorted on the reversed (ascending) array
+    rev = S[::-1]
+    pos = np.searchsorted(rev, target, side="right")
+    idx = S.size - pos  # first index with S[idx] <= target
+    out = np.empty(u.shape, dtype=float)
+    inside = idx < S.size
+    out[inside] = ys[idx[inside]] - 1.0
+    if not inside.all():  # extreme draws beyond the grid: scalar bisection
+        for i in np.flatnonzero(~inside):
+            lo, hi = xm + K, 2 * (xm + K)
+            while hurwitz_zeta(a, hi) / z0 > target[i]:
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if hurwitz_zeta(a, mid) / z0 > target[i]:
+                    lo = mid
+                else:
+                    hi = mid
+            out[i] = hi - 1.0
+    return np.maximum(out, xm)
 
 
 def simulate_copy_loop(n_nodes, gamma=0.0, seed=0) -> DegreeSequence:

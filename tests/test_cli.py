@@ -28,6 +28,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """`json.loads` refusing NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 # -- fit -------------------------------------------------------------------------
 
 def test_fit_recovers_generator(pareto_file, capsys):
@@ -122,6 +129,17 @@ def test_fit_discrete_at_search_edge_exit_code(tmp_path, capsys):
     assert "edge of its search range" in err
 
 
+def test_fit_discrete_counts_past_the_zeta_range_exit_code(tmp_path, capsys):
+    # thresholds above ~1e65, where zeta(alpha, xmin) underflows to 0, are no candidates
+    path = tmp_path / "huge_counts.csv"
+    path.write_text("\n".join(map(repr, np.floor(10 ** np.random.default_rng(0).uniform(
+        0, 300, 3000)).tolist())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", str(path), "--kind", "discrete")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: discrete MLE alpha") and err.count("\n") == 1
+    assert "edge of its search range" in err
+
+
 # -- simulate ----------------------------------------------------------------------
 
 def test_simulate_copy_with_fit(tmp_path, capsys):
@@ -134,6 +152,14 @@ def test_simulate_copy_with_fit(tmp_path, capsys):
     assert summary["alpha_predicted"] == 2.0
     assert abs(summary["fit"]["alpha"] - 2.0) < 0.3
     assert summary["count_sum"] == 50_000 + summary["steps"]
+
+
+def test_simulate_copy_at_gamma_one_predicts_null(tmp_path, capsys):
+    # no power law forms at gamma 1: the prediction is undefined, not Infinity
+    code, out, err = run_cli(capsys, "simulate", "--model", "copy", "--gamma", "1",
+                             "--nodes", "2000", "--out", str(tmp_path / "d.csv"))
+    assert code == 0, err
+    assert strict_json(out)["alpha_predicted"] is None
 
 
 def test_simulate_ba_handshake(tmp_path, capsys):
@@ -353,6 +379,47 @@ def test_run_pipeline_returns_the_written_manifest(fixture_csv, tmp_path, capsys
     assert manifest["outputs"] == written["outputs"]
     assert manifest["figure_inputs"] == written["figure_inputs"]
     assert json.loads((tmp_path / "lib" / "manifest.json").read_text()) == manifest
+
+
+def test_run_pipeline_bootstrap_is_worker_invariant(fixture_csv, tmp_path):
+    runs = {name: run_pipeline(fixture_csv, tmp_path / name, floor=10.0,
+                               floor_inclusive=False, min_tail=50, bootstrap=bootstrap,
+                               seed=3, workers=workers)
+            for name, bootstrap, workers in (("w1", 100, 1), ("w2", 100, 2), ("plain", 0, 1))}
+    one, two, plain = runs["w1"], runs["w2"], runs["plain"]
+    for rel in one["outputs"]:
+        assert (tmp_path / "w1" / rel).read_bytes() == (tmp_path / "w2" / rel).read_bytes()
+    written = [json.loads((tmp_path / name / "manifest.json").read_text())
+               for name in ("w1", "w2")]
+    for manifest in (one, two, *written):
+        del manifest["wall_clock_s"]
+    assert one == two == written[0] == written[1]
+    fits = [rel for rel in one["outputs"] if rel.startswith("fits/")]
+    assert fits
+    for rel in fits:
+        report = json.loads((tmp_path / "w1" / rel).read_text())
+        assert 0.0 <= report["p_value"] <= 1.0 and report["n_failed"] >= 0
+    figures = {rel: digest for rel, digest in one["outputs"].items()
+               if rel.endswith((".csv", ".svg"))}
+    assert figures == {rel: digest for rel, digest in plain["outputs"].items()
+                       if rel.endswith((".csv", ".svg"))}
+
+
+def test_pipeline_writes_null_for_an_undefined_rank_correlation(tmp_path, capsys):
+    # three platforms with the same earnings: equal medians and alphas have no ranks
+    path = tmp_path / "same.csv"
+    header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
+    earnings = pl_sample(PowerLawModel(alpha=2.2, xmin=20.0), 300, seed=5).values
+    rows = [f"{name}{i},2021,{field},art,false,{100 + i},{i % 50},{e:.6f}"
+            for name, field in (("t", "twitch"), ("y", "youtube"), ("p", ""))
+            for i, e in enumerate(earnings)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(path), "--out", str(out))
+    assert code == 0, err
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert {f"fits/{p}.json" for p in ("patreon", "twitch", "youtube")} <= set(manifest["outputs"])
+    assert manifest["stats"]["median_vs_alpha_spearman"] is None
 
 
 def test_pipeline_rejects_small_bootstrap_before_writing(fixture_csv, tmp_path, capsys):

@@ -128,7 +128,7 @@ def test_mle_discrete_batch_equals_one_element_calls(n, seed, min_tail):
     x = _scan_input("discrete", n, seed).values
     dv, _, dcum, _, wsuffix = _distinct_stats(x)
     with patch.object(fit_module, "_CANDIDATE_CAP", 40):
-        cand = _candidate_indices(dv, dcum, n, min_tail)
+        cand = _candidate_indices(dv, dcum, n, min_tail, DISCRETE)
     if cand.size == 0:
         return
     m = n - np.concatenate(([0], dcum[:-1]))[cand]

@@ -19,7 +19,7 @@ from tailkit.powerlaw import (
 )
 from tailkit.rng import make_rng
 
-from oracles import discrete_ppf_naive, ks_naive, zeta_naive
+from oracles import discrete_ppf_grid, discrete_ppf_naive, ks_naive, zeta_naive
 
 
 # -- conventions -------------------------------------------------------------
@@ -178,6 +178,41 @@ def test_discrete_ppf_matches_linear_scan():
     m = PowerLawModel(alpha=2.5, xmin=2.0, kind="discrete")
     for u in [0.0, 0.3, 0.618, 0.95, 0.999]:
         assert pl_ppf(m, u) == discrete_ppf_naive(2.5, 2, u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(min_value=1.3, max_value=4.0),
+       xmin=st.integers(min_value=1, max_value=50),
+       u=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                  min_size=1, max_size=40))
+def test_discrete_ppf_matches_the_grid_search(alpha, xmin, u):
+    # bit for bit below 1e13; far above it the zeta CCDF is not strictly
+    # decreasing in float64, so the two searches may stop a step apart
+    m = PowerLawModel(alpha=alpha, xmin=float(xmin), kind="discrete")
+    u = np.array(u)
+    want = discrete_ppf_grid(m, u)
+    got = pl_ppf(m, u)
+    low = want < 1e13
+    assert got[low].tobytes() == want[low].tobytes()
+
+
+def test_discrete_ppf_past_the_old_grid_matches_the_reference():
+    # the reference takes its per-draw bisection for every one of these draws
+    m = PowerLawModel(alpha=1.3, xmin=2.0, kind="discrete")
+    u = np.linspace(0.98, 0.9998, 12)
+    want = discrete_ppf_grid(m, u)
+    assert want.min() > 1 << 18 and want.max() < 1e13
+    assert pl_ppf(m, u).tobytes() == want.tobytes()
+
+
+def test_discrete_ppf_past_the_float_range_is_inf():
+    assert pl_ppf(PowerLawModel(alpha=1.011, xmin=1.0, kind="discrete"), 0.9999) == math.inf
+
+
+def test_discrete_sample_overflow_is_a_domain_error():
+    m = PowerLawModel(alpha=1.011, xmin=1.0, kind="discrete")
+    with pytest.raises(DomainError, match=r"^3 of 10000 draws are not finite"):
+        pl_sample(m, 10_000, seed=1)
 
 
 def test_sample_ccdf_close_to_model_dkw():
