@@ -257,30 +257,36 @@ _BLOCK = 1 << 11  # rows parsed at a time, so one block's field strings are aliv
 def parse_csv(path) -> ParseResult:
     """Read earnings records into an `EarningsTable`, rejecting malformed
     rows with diagnostics numbered by the physical line each row ends on.
-    Missing required columns, a row the csv module cannot read (a field
-    longer than `csv.field_size_limit()`), or text that is not UTF-8 raise
-    SchemaError.
+    Missing required columns raise SchemaError; so does, from the reading
+    of the header and rows, a csv.Error (such as a field longer than
+    `csv.field_size_limit()`), naming its line, and text that is not UTF-8,
+    naming the file (decoding runs ahead of the lines).
 
     Blank lines are skipped. Rows are parsed a block at a time; each
     distinct `platforms`, `category` and `nsfw` text is parsed once.
     """
     decode = {"platforms": _Decoder(_parse_platforms), "nsfw": _Decoder(_parse_bool),
               "category": _Decoder(lambda t: t.strip().lower())}
-    parts, diagnostics = [], []
+    parts, diagnostics, rows, lines = [], [], [], []
     with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is not data
         reader = csv.reader(fh)
-        rows = _rows(reader, path)
-        header = next(rows, [])
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise SchemaError(f"missing required columns: {', '.join(missing)}")
-        position = {name: i for i, name in enumerate(header)}  # the last of repeats
-        numbered = ((row, reader.line_num) for row in rows if row)
-        while True:
-            block = list(itertools.islice(numbered, _BLOCK))
-            parts.append(_parse_block(block, position, decode, diagnostics))
-            if len(block) < _BLOCK:
-                break
+        try:
+            header = next(reader, [])
+            missing = [c for c in CSV_COLUMNS if c not in header]
+            if missing:
+                raise SchemaError(f"missing required columns: {', '.join(missing)}")
+            position = {name: i for i, name in enumerate(header)}  # the last of repeats
+            for row in filter(None, reader):  # blank lines read as []
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == _BLOCK:
+                    parts.append(_parse_block(rows, lines, position, decode, diagnostics))
+                    rows, lines = [], []
+        except csv.Error as exc:
+            raise SchemaError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise SchemaError(f"{path}: not valid UTF-8") from None
+    parts.append(_parse_block(rows, lines, position, decode, diagnostics))
     col = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     texts = decode["category"].values  # normalized, by code; sorted below
     categories = tuple(sorted(set(texts)))
@@ -293,25 +299,12 @@ def parse_csv(path) -> ParseResult:
     return ParseResult(records=table, diagnostics=diagnostics)
 
 
-def _rows(reader, path):
-    """The rows of csv `reader` over the file at `path`. A csv.Error becomes a
-    SchemaError naming the physical line it was raised on; text that is not
-    UTF-8, one naming the file (decoding runs ahead of the lines)."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise SchemaError(f"line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise SchemaError(f"{path}: not valid UTF-8") from None
-
-
-def _parse_block(block, position, decode, diagnostics) -> dict:
-    """The accepted rows of `block`, (row, line) pairs, as columns; appends
-    a diagnostic per rejected row to `diagnostics`. Each rule maps the rows
-    it rejects to a message; a row failing several rules gets the message
-    of the first, in the order of `rules` below."""
-    n = len(block)
-    rows, lines = zip(*block) if block else ((), ())
+def _parse_block(rows, lines, position, decode, diagnostics) -> dict:
+    """The accepted `rows` as columns, `lines` the physical lines they end
+    on; appends a diagnostic per rejected row to `diagnostics`. Each rule
+    maps the rows it rejects to a message; a row failing several rules gets
+    the message of the first, in the order of `rules` below."""
+    n = len(rows)
     columns = list(itertools.zip_longest(*rows, fillvalue=""))
     col = {c: columns[position[c]] if position[c] < len(columns) else ("",) * n
            for c in CSV_COLUMNS}
@@ -416,17 +409,28 @@ def fit_imputation(table: EarningsTable) -> ImputationModel:
     X = _design(table, rows, categories, years)
     y = table.earnings[rows]
     gram = X.T @ X + _RIDGE_JITTER * np.eye(X.shape[1])
+    with np.errstate(over="ignore"):  # an overflow gives the error below
+        Xty = X.T @ y
     try:
-        coef = np.linalg.solve(gram, X.T @ y)
+        coef = np.linalg.solve(gram, Xty)
     except np.linalg.LinAlgError as exc:
         raise SingularDesign(str(exc)) from None
     if not np.all(np.isfinite(coef)):
         raise SingularDesign("non-finite coefficients")
     resid = y - X @ coef
-    tss = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - float((resid**2).sum()) / tss if tss > 0 else 1.0
+    with np.errstate(over="ignore"):
+        tss, rss = _sums_of_squares(y, resid)
+    if not (math.isfinite(tss) and math.isfinite(rss)):  # r2 is scale-free
+        scale = max(float(np.abs(y).max()), float(np.abs(resid).max()))
+        tss, rss = _sums_of_squares(y / scale, resid / scale)
+    r2 = 1.0 - rss / tss if tss > 0 else 1.0
     return ImputationModel(coef=coef, categories=categories, years=years,
                            r_squared=r2, n_train=int(observed.size))
+
+
+def _sums_of_squares(y, resid):
+    """(total, residual) sums of squares of a least-squares fit."""
+    return float(((y - y.mean()) ** 2).sum()), float((resid**2).sum())
 
 
 def impute_earnings(table: EarningsTable, model: ImputationModel):
@@ -510,15 +514,30 @@ def segment_single_platform(table: EarningsTable) -> dict:
 
 # -- summaries ----------------------------------------------------------------------
 
+def _overflow_safe(stat, v) -> float:
+    """`stat(v)` of a statistic with stat(c*v) = c*stat(v) for c > 0. Where
+    it overflows, it is c times `stat` of v/c, c being the largest |v|."""
+    with np.errstate(over="ignore"):
+        out = float(stat(v))
+    if math.isfinite(out):
+        return out
+    scale = float(np.abs(v).max())
+    return scale * float(stat(v / scale))
+
+
 def summary_stats(sample: Sample, platform: str = "") -> PlatformStats:
-    """Mean, sample SD (n-1), and linear-interpolation quantiles."""
+    """Mean, sample SD (n-1), and linear-interpolation quantiles. Mean and
+    SD are finite for every sample: where the direct computation overflows
+    (the SD does once deviations pass about 1.3e154), they are computed on
+    the values divided by the largest and scaled back; otherwise they are
+    the direct results, bit for bit."""
     v = sample.values
     n = v.size
     degenerate = n < 2
-    sd = 0.0 if degenerate else float(v.std(ddof=1))
+    sd = 0.0 if degenerate else _overflow_safe(lambda x: x.std(ddof=1), v)
     q25, med, q75 = (float(q) for q in np.quantile(v, [0.25, 0.5, 0.75]))
     return PlatformStats(
-        platform=platform, obs=n, mean=float(v.mean()), median=med, sd=sd,
+        platform=platform, obs=n, mean=_overflow_safe(np.mean, v), median=med, sd=sd,
         min=float(v[0]), q25=q25, q75=q75, max=float(v[-1]),
         sd_degenerate=degenerate)
 

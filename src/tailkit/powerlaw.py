@@ -149,8 +149,11 @@ def pl_ppf(model: PowerLawModel, u):
 def _discrete_ppf(model: PowerLawModel, u):
     """The largest integer y >= xmin with P(X >= y) > 1-u, for each u. Each y
     starts at xmin with step 1 and moves to y+step whenever P(X >= y+step) >
-    1-u; the step doubles until that first fails, then halves until below 1."""
+    1-u; the step doubles until that first fails, then halves until below 1.
+    Every y+step is whole, so P(X >= y+step) is `pl_ccdf`'s ratio without
+    its ceil, against a denominator computed once."""
     target = 1.0 - u.ravel()
+    z0 = hurwitz_zeta(model.alpha, model.xmin)
     y = np.full(target.size, model.xmin, dtype=float)
     step = np.ones(target.size)
     doubling = np.ones(target.size, dtype=bool)
@@ -159,7 +162,7 @@ def _discrete_ppf(model: PowerLawModel, u):
         while i.size:
             nxt = y[i] + step[i]
             over = np.isinf(nxt)  # past the float range: the draw is inf
-            up = over | (pl_ccdf(model, nxt) > target[i])
+            up = over | (hurwitz_zeta(model.alpha, nxt) / z0 > target[i])
             y[i[up]] = nxt[up]
             doubling[i] &= up
             step[i] *= np.where(doubling[i], 2.0, 0.5)

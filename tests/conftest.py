@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
+from tailkit import pipeline  # noqa: E402
 from tailkit.powerlaw import PowerLawModel, pl_sample  # noqa: E402
 
 
@@ -16,3 +17,14 @@ def pareto_file(tmp_path_factory):
     path.write_text("value\n" + "\n".join(f"{v:.8f}" for v in s.values),
                     encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def blocks_of_7(monkeypatch):
+    """Makes `parse_csv` parse 7 rows at a time; the size of each block it
+    parses is appended to the list this returns."""
+    sizes, parse_block = [], pipeline._parse_block
+    monkeypatch.setattr(pipeline, "_BLOCK", 7)
+    monkeypatch.setattr(pipeline, "_parse_block",
+                        lambda rows, *rest: sizes.append(len(rows)) or parse_block(rows, *rest))
+    return sizes

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +423,37 @@ def test_pipeline_writes_null_for_an_undefined_rank_correlation(tmp_path, capsys
     assert manifest["stats"]["median_vs_alpha_spearman"] is None
 
 
+def run_pipeline_warning_free(capsys, fixture_csv, tmp_path, earnings):
+    """`tailkit pipeline` on `fixture_csv` plus one row earning `earnings`,
+    every warning raised as an error: (exit code, stdout, stderr, outdir)."""
+    path = tmp_path / "huge.csv"
+    path.write_text(fixture_csv.read_text(encoding="utf-8")
+                    + f"z1,2021,,music,false,10,5,{earnings}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (*run_cli(capsys, "pipeline", str(path), "--out", str(out)), out)
+
+
+@pytest.mark.parametrize("earnings", ["1e160", "1e300"])
+def test_pipeline_keeps_statistics_finite_for_huge_earnings(earnings, fixture_csv, tmp_path,
+                                                            capsys):
+    # the imputation carries the value into every platform; its sd overflowed to inf
+    code, _, err, out = run_pipeline_warning_free(capsys, fixture_csv, tmp_path, earnings)
+    assert code == 0, err
+    written = sorted(out.rglob("*.json"))
+    assert len(written) > 5
+    for path in written:
+        strict_json(path.read_text(encoding="utf-8"))
+
+
+def test_pipeline_earnings_past_the_normal_equations_exit_2_without_warning(
+        fixture_csv, tmp_path, capsys):
+    code, stdout, err, _ = run_pipeline_warning_free(capsys, fixture_csv, tmp_path, "1.7e308")
+    assert (code, stdout) == (2, "")
+    assert "error: non-finite coefficients" in err
+
+
 def test_pipeline_rejects_small_bootstrap_before_writing(fixture_csv, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -689,6 +721,35 @@ def test_pipeline_names_the_line_of_an_over_long_field(fixture_csv, tmp_path):
     assert proc.returncode == 2
     assert "line 5: field larger than field limit (131072)" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_pipeline_names_the_line_of_an_over_long_field_past_two_blocks(
+        fixture_csv, tmp_path, blocks_of_7, capsys):
+    lines = fixture_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "long.csv"
+    path.write_text("".join([*lines[:19], f"c9,2020,a,{'x' * 140_000},false,1,1,1.0\n",
+                             *lines[19:]]), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "pipeline", str(path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "error: line 20: field larger than field limit (131072)" in err
+    assert "Traceback" not in err
+    assert blocks_of_7 == [7, 7]
+    assert not out.exists()
+
+
+def test_pipeline_names_a_file_not_utf8_past_three_blocks(fixture_csv, tmp_path, blocks_of_7,
+                                                          capsys):
+    lines = fixture_csv.read_bytes().splitlines(keepends=True)
+    lines[-2] = b"c9,2021,,m\xe9sic,false,3,1,20.0\n"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "pipeline", str(bad), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert f"error: {bad}: not valid UTF-8" in err
+    assert len(blocks_of_7) > 3 and set(blocks_of_7) == {7}
     assert not out.exists()
 
 

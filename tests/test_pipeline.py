@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import statistics
 from unittest import mock
 
 import numpy as np
@@ -243,6 +244,15 @@ def test_summary_singleton_flagged():
     assert s.sd == 0.0 and s.sd_degenerate
 
 
+def test_summary_sd_and_mean_of_huge_values_are_finite():
+    # deviations past about 1.3e154 square past the float range
+    values = [1.0, 5.0, 1e160]
+    assert summary_stats(make_sample(values)).sd == pytest.approx(
+        statistics.stdev(values), rel=1e-12)
+    assert summary_stats(make_sample([1e308, 1.5e308])).mean == pytest.approx(1.25e308,
+                                                                              rel=1e-15)
+
+
 def test_summary_matches_bruteforce():
     rng = make_rng(42)
     for _ in range(100):
@@ -408,6 +418,22 @@ def test_parse_reports_physical_line_numbers(tmp_path):
     assert [r.creator_id for r in res.records] == ["c3"]
     assert [d.split(":")[0] for d in res.diagnostics] == ["line 4", "line 6", "line 9"]
     assert res.diagnostics == oracles.parse_csv_rows(p).diagnostics
+
+
+def test_parse_two_full_blocks_with_blank_lines_between(tmp_path, blocks_of_7):
+    rows = [f"c{i},2021,twitch,music,false,10,3,{i}.5" for i in range(14)]
+    rows[3] = "c3,20x1,twitch,music,false,10,3,3.5"
+    rows[6] = "c6,2021,twitch"
+    rows[9] = "c9,2021,twitch,music,maybe,10,3,9.5"
+    p = tmp_path / "two.csv"
+    p.write_text("creator_id,year,platforms,category,nsfw,members,paid_members,earnings\n"
+                 + "\n".join(rows[:7]) + "\n\n\r\n" + "\n".join(rows[7:]) + "\n\n",
+                 encoding="utf-8")
+    got, want = parse_csv(p), oracles.parse_csv_rows(p)
+    assert blocks_of_7 == [7, 7, 0]  # the last call parses the empty remainder
+    assert list(got.records) == want.records and len(want.records) == 11
+    assert got.diagnostics == want.diagnostics
+    assert [d.split(":")[0] for d in got.diagnostics] == ["line 5", "line 8", "line 13"]
 
 
 def test_platform_of_runs_once_per_distinct_platforms_field(tmp_path, monkeypatch):
