@@ -4,7 +4,7 @@ Parse -> impute missing earnings -> floor filter -> single-platform
 segmentation -> summary tables, per-platform tail fits, and figure series,
 one stage at a time. The rows travel as one columnar `EarningsTable`:
 numpy columns such as `table.earnings` and `table.imputed`, while
-`table[i]` reads row i back as an `EarningsRecord`.
+iterating it reads the rows back as `EarningsRecord`s.
 `tailkit.pipeline.run_pipeline` runs the same stages plus the per-year and
 per-category fits and writes every table, figure and the manifest;
 `tailkit pipeline <csv> --out <dir>` is its command line.
@@ -31,7 +31,7 @@ FIXTURE = Path(__file__).resolve().parent.parent / "data" / "earnings_fixture.cs
 
 parsed = parse_csv(FIXTURE)
 print(f"parsed {len(parsed.records)} records "
-      f"({parsed.n_rejected} rejected rows); the first: {parsed.records[0]}")
+      f"({parsed.n_rejected} rejected rows); the first: {next(iter(parsed.records))}")
 
 model = fit_imputation(parsed.records)
 records, _ = impute_earnings(parsed.records, model)

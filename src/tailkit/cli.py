@@ -127,6 +127,8 @@ def cmd_fit(args) -> int:
     gof = None
     if args.bootstrap:
         gof = gof_pvalue(sample, fit, n_boot=args.bootstrap, seed=args.seed, workers=workers)
+        if gof.n_failed:
+            print(gof.failed_note, file=sys.stderr)
     report = fit_report(fit, n=len(sample), gof=gof, seed=args.seed)
     report["proportion"] = power_law_proportion(sample, fit)
     report["n_rejected"] = sample.n_rejected

@@ -25,7 +25,7 @@ class SampleTooSmall(TailkitError):
     """Fewer observations than the operation requires."""
 
 
-class InsufficientGrid(TailkitError):
+class InsufficientGrid(SampleTooSmall):
     """Too few grid points for the bias-correction regression."""
 
 

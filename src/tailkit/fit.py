@@ -100,6 +100,12 @@ class GofResult:
     seed: int
     n_failed: int
 
+    @property
+    def failed_note(self) -> str:
+        """The line `fit` and `pipeline` print on stderr when n_failed > 0."""
+        return (f"{self.n_failed} of {self.n_boot} bootstrap replicates failed; "
+                "each counts as a KS at least the observed one")
+
 
 # -- maximum likelihood ------------------------------------------------------
 

@@ -9,22 +9,23 @@ earnings missing more often for larger earners.
 
 import csv
 import math
+from types import MappingProxyType
 
 from .rng import make_rng
 
 YEARS = (2018, 2021, 2024)
 CATEGORIES = ("animation", "comics", "music", "podcasts", "writing")
 
-# per-platform generator settings: draw weight, body median (USD/month),
-# tail density exponent, and share of rows that grow a power-law tail
-_PLATFORMS = {
+# per-platform generator settings, read-only: draw weight, body median
+# (USD/month), tail density exponent, and share of rows that grow a power-law tail
+PLATFORM_PARAMS = MappingProxyType({p: MappingProxyType(cfg) for p, cfg in {
     "patreon":   dict(weight=0.30, median=57.0, alpha=2.24, tail_share=0.30),
     "twitter":   dict(weight=0.22, median=72.0, alpha=2.35, tail_share=0.20),
     "instagram": dict(weight=0.18, median=59.0, alpha=1.84, tail_share=0.40),
     "youtube":   dict(weight=0.14, median=47.0, alpha=1.80, tail_share=0.45),
     "facebook":  dict(weight=0.08, median=47.0, alpha=1.94, tail_share=0.40),
     "twitch":    dict(weight=0.04, median=46.0, alpha=1.93, tail_share=0.50),
-}
+}.items()})
 _MULTI_WEIGHT = 0.04  # rows with two platforms, dropped at segmentation
 
 _NSFW_BASE = {"patreon": 0.39, "twitter": 0.50, "instagram": 0.27,
@@ -34,8 +35,8 @@ _NSFW_BASE = {"patreon": 0.39, "twitter": 0.50, "instagram": 0.27,
 def generate_rows(n_rows: int, seed: int):
     """Yield CSV rows (as dicts) for the documented schema."""
     rng = make_rng(seed)
-    names = list(_PLATFORMS) + ["multi"]
-    weights = [_PLATFORMS[p]["weight"] for p in _PLATFORMS] + [_MULTI_WEIGHT]
+    names = list(PLATFORM_PARAMS) + ["multi"]
+    weights = [cfg["weight"] for cfg in PLATFORM_PARAMS.values()] + [_MULTI_WEIGHT]
     total = sum(weights)
     probs = [w / total for w in weights]
     for i in range(n_rows):
@@ -43,18 +44,18 @@ def generate_rows(n_rows: int, seed: int):
         name = names[pick]
         if name == "multi":
             # affiliation pairs come from the external platforms only
-            keys = [p for p in _PLATFORMS if p != "patreon"]
+            keys = [p for p in PLATFORM_PARAMS if p != "patreon"]
             pair = rng.choice(len(keys), size=2, replace=False)
             platforms = ";".join(sorted(keys[int(j)] for j in pair))
-            cfg = _PLATFORMS[keys[int(pair[0])]]
+            cfg = PLATFORM_PARAMS[keys[int(pair[0])]]
             nsfw_p = 0.3
         elif name == "patreon":
             platforms = ""
-            cfg = _PLATFORMS[name]
+            cfg = PLATFORM_PARAMS[name]
             nsfw_p = _NSFW_BASE[name]
         else:
             platforms = name
-            cfg = _PLATFORMS[name]
+            cfg = PLATFORM_PARAMS[name]
             nsfw_p = _NSFW_BASE[name]
         year = YEARS[int(rng.choice(3, p=[0.2, 0.35, 0.45]))]
         if name == "twitter" and year == 2024:

@@ -71,8 +71,7 @@ PLATFORM, PLATFORM_YEAR, CATEGORY = "platform", "platform_year", "category"
 
 
 class EarningsRecord(NamedTuple):
-    """One creator-month row, as indexing or iterating an `EarningsTable`
-    yields it."""
+    """One creator-month row, as iterating an `EarningsTable` yields it."""
 
     creator_id: str
     year: int
@@ -92,8 +91,7 @@ class EarningsTable:
     `earnings` is float64 with NaN where missing. `platform_code` indexes
     `platform_sets` (frozensets of platform names) and `category_code`
     indexes `categories`, which is sorted, so code order is name order.
-    Indexing or iterating yields `EarningsRecord`s; tables are equal when
-    their records are.
+    Iterating yields `EarningsRecord`s.
     """
 
     creator_id: np.ndarray  # object array of str
@@ -117,6 +115,7 @@ class EarningsTable:
             f.name: getattr(self, f.name)[rows] for f in dataclasses.fields(self)
             if isinstance(getattr(self, f.name), np.ndarray)})
 
+    # rows as records: read only by tests, demo 05 and perfbench's imputed-count probe
     def __iter__(self):
         return map(
             EarningsRecord, self.creator_id.tolist(), self.year.tolist(),
@@ -125,14 +124,6 @@ class EarningsTable:
             self.nsfw.tolist(), self.members.tolist(), self.paid_members.tolist(),
             (None if math.isnan(e) else e for e in self.earnings.tolist()),
             self.imputed.tolist())
-
-    def __getitem__(self, i) -> EarningsRecord:
-        return next(iter(self.take([range(len(self))[i]])))
-
-    def __eq__(self, other):
-        if not isinstance(other, EarningsTable):
-            return NotImplemented
-        return list(self) == list(other)
 
     @cached_property
     def _single_platform(self):
@@ -251,6 +242,12 @@ def _where(mask, message) -> dict:
     return {i: message(i) for i in np.flatnonzero(mask).tolist()}
 
 
+def _levels(levels, values) -> np.ndarray:
+    """Each value's index in `levels`, -1 where it is absent."""
+    index = {level: i for i, level in enumerate(levels)}
+    return np.array([index.get(v, -1) for v in values], dtype=np.intp)
+
+
 _BLOCK = 1 << 11  # rows parsed at a time, so one block's field strings are alive
 
 
@@ -290,8 +287,7 @@ def parse_csv(path) -> ParseResult:
     col = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     texts = decode["category"].values  # normalized, by code; sorted below
     categories = tuple(sorted(set(texts)))
-    col["category_code"] = np.array([categories.index(c) for c in texts],
-                                    dtype=np.intp)[col["category_code"]]
+    col["category_code"] = _levels(categories, texts)[col["category_code"]]
     table = EarningsTable(
         **col, imputed=np.zeros(col["year"].size, dtype=bool), categories=categories,
         platform_sets=tuple(frozenset() if s is None else s
@@ -348,7 +344,7 @@ def _parse_block(rows, lines, position, decode, diagnostics) -> dict:
 # -- imputation -----------------------------------------------------------------
 
 def _design(table: EarningsTable, rows, categories, years) -> np.ndarray:
-    """Regression rows of `table[rows]`: intercept, paid_members, members,
+    """Regression rows of the table's `rows`: intercept, paid_members, members,
     category one-hots, nsfw, year one-hots. The first level of each block
     is the reference and carries no column; unseen levels collapse to the
     reference."""
@@ -359,8 +355,7 @@ def _design(table: EarningsTable, rows, categories, years) -> np.ndarray:
     X[:, 1] = table.paid_members[rows]
     X[:, 2] = table.members[rows]
     X[:, 3 + n_cat] = table.nsfw[rows]
-    cat_level = np.array([categories.index(c) if c in categories else -1
-                          for c in table.categories], dtype=np.intp)[table.category_code[rows]]
+    cat_level = _levels(categories, table.categories)[table.category_code[rows]]
     year = table.year[rows]
     pos = np.minimum(np.searchsorted(years, year), len(years) - 1)
     year_level = np.where(np.take(years, pos) == year, pos, -1)
@@ -394,7 +389,8 @@ def fit_imputation(table: EarningsTable) -> ImputationModel:
 
     Rows enter in a canonical order, a stable sort on (creator_id, year,
     category, earnings), so the fit is a pure function of the row
-    multiset, not of the input ordering.
+    multiset, not of the input ordering. Raises SingularDesign when the
+    model has at least as many coefficients as there are observed rows.
     """
     observed = np.flatnonzero(~np.isnan(table.earnings))
     if observed.size < _MIN_TRAIN:
@@ -406,6 +402,10 @@ def fit_imputation(table: EarningsTable) -> ImputationModel:
     categories = tuple(table.categories[c]
                        for c in np.unique(table.category_code[rows]).tolist())
     years = tuple(np.unique(table.year[rows]).tolist())
+    n_coef = 2 + len(categories) + len(years)  # the columns `_design` makes
+    if n_coef >= observed.size:
+        raise SingularDesign(f"imputation model has {n_coef} coefficients for "
+                             f"{observed.size} observed rows")
     X = _design(table, rows, categories, years)
     y = table.earnings[rows]
     gram = X.T @ X + _RIDGE_JITTER * np.eye(X.shape[1])
@@ -447,8 +447,7 @@ def impute_earnings(table: EarningsTable, model: ImputationModel):
     # one dot product per row: a matrix product rounds some rows differently
     earnings[missing] = [max(float(x @ model.coef), 0.0) for x in X]
     imputed[missing] = True
-    known = np.array([len(model.categories) <= 1 or c in model.categories
-                      for c in table.categories], dtype=bool)
+    known = (_levels(model.categories, table.categories) >= 0) | (len(model.categories) < 2)
     n_unseen = int(missing.size - known[table.category_code[missing]].sum())
     return dataclasses.replace(table, earnings=earnings, imputed=imputed), n_unseen
 
@@ -642,6 +641,8 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         gof = None
         if bootstrap:
             gof = gof_pvalue(s, fit, n_boot=bootstrap, seed=seed, workers=workers)
+            if gof.n_failed:
+                print(f"{p}: {gof.failed_note}", file=sys.stderr)
         write(f"fits/{p}.json", json_text(fit_report(fit, n=len(s), gof=gof, seed=seed)))
         figures[f"ccdf_{p}"] = ccdf_figure(s, fit)
         figure_inputs[f"ccdf_{p}"] = outputs[f"fits/{p}.json"]

@@ -17,6 +17,7 @@ import pytest
 from tailkit.cli import main as cli_main
 from tailkit.estimators import estimator_comparison
 from tailkit.fit import gof_pvalue, select_xmin
+from tailkit.fixtures import PLATFORM_PARAMS
 from tailkit.growth import (
     ccdf_slope,
     gamma_sweep,
@@ -208,13 +209,9 @@ def test_criterion_7_pipeline_fidelity(tmp_path, capsys):
 # 8 ----------------------------------------------------------------------------
 
 def test_criterion_8_published_median_alpha_association():
-    medians = {"facebook": 47.0, "instagram": 59.0, "patreon": 57.0,
-               "twitch": 46.0, "twitter": 72.0, "youtube": 47.0}
-    alphas = {"youtube": 1.8, "instagram": 1.84, "twitch": 1.93,
-              "facebook": 1.94, "patreon": 2.24, "twitter": 2.35}
-    platforms = sorted(medians)
-    rho = spearman([medians[p] for p in platforms],
-                   [alphas[p] for p in platforms])
+    platforms = sorted(PLATFORM_PARAMS)  # the fixture generator's medians and alphas
+    rho = spearman([PLATFORM_PARAMS[p]["median"] for p in platforms],
+                   [PLATFORM_PARAMS[p]["alpha"] for p in platforms])
     ok = abs(rho - 0.47) <= 0.01 and rho > 0
     report(8, ok, f"Spearman rho {rho:.4f} (want 0.47+-0.01, positive)")
 

@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tailkit import cli, errors
+from tailkit import cli, errors, pipeline
 from tailkit.cli import _read_column, main
 from tailkit.errors import SchemaError
+from tailkit.fit import GofResult
 from tailkit.fixtures import write_fixture
 from tailkit.pipeline import run_pipeline
 from tailkit.powerlaw import PowerLawModel, pl_sample
@@ -96,15 +97,31 @@ def test_fit_xmin_bootstrap_is_worker_invariant(pareto_file, monkeypatch, capsys
     assert reports[0]["xmin"] == 3.0 and reports[0]["n_failed"] == 0
 
 
+FAILED_REPLICATES = ("100 of 100 bootstrap replicates failed; "
+                     "each counts as a KS at least the observed one\n")
+
+
 def test_fit_bootstrap_survives_overflowing_draws(tmp_path, capsys):
     # alpha = 1.0138 above xmin ~ 1.7e236: the replicates' draws overflow
     path = tmp_path / "huge.csv"
     path.write_text("\n".join(map(repr, (10 ** np.random.default_rng(0).uniform(
         0, 300, 3000)).tolist())), encoding="utf-8")
     code, out, err = run_cli(capsys, "fit", str(path), "--bootstrap", "100")
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, FAILED_REPLICATES)
     report = json.loads(out)
     assert (report["n_failed"], report["p_value"]) == (100, 1.0)
+
+
+def test_fit_says_on_stderr_how_many_replicates_failed(tmp_path, capsys):
+    # every rescaled replicate fit above xmin 1e-300 raises
+    path = tmp_path / "small.csv"
+    values = np.random.default_rng(1).pareto(1.5, 520) + 1
+    path.write_text("\n".join(map(repr, values.tolist())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", str(path), "--xmin", "1e-300",
+                             "--bootstrap", "100")
+    assert (code, err) == (0, FAILED_REPLICATES)
+    report = strict_json(out)
+    assert (report["n_failed"], report["p_value"], report["n_tail"]) == (100, 1.0, 520)
 
 
 def test_fit_missing_file_is_io_error(capsys):
@@ -285,6 +302,17 @@ def test_compare_small_sample_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+def test_compare_without_a_heavy_tail_exits_3(tmp_path, capsys):
+    # uniform values: the double bootstrap picks k = 2, which leaves
+    # adjusted Hill one grid point
+    path = tmp_path / "uniform.csv"
+    values = np.random.default_rng(0).uniform(1, 2, 2000)
+    path.write_text("\n".join(map(repr, values.tolist())), encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: only 1 grid points below k=2\n"
+
+
 def test_compare_deterministic(pareto_file, capsys):
     _, out1, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
     _, out2, _ = run_cli(capsys, "compare", str(pareto_file), "--seed", "5")
@@ -454,6 +482,33 @@ def test_pipeline_earnings_past_the_normal_equations_exit_2_without_warning(
     assert "error: non-finite coefficients" in err
 
 
+def test_pipeline_with_unidentifiable_imputation_exits_2(tmp_path, capsys):
+    # 60 observed rows in 60 categories: 63 coefficients
+    path = tmp_path / "wide.csv"
+    header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
+    rows = [f"c{i},2021,,cat{i},false,{100 + i},{i},{50.0 + i}" for i in range(60)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "pipeline", str(path), "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: imputation model has 63 coefficients for 60 observed rows\n"
+
+
+def test_pipeline_says_per_platform_how_many_replicates_failed(fixture_csv, tmp_path,
+                                                               monkeypatch, capsys):
+    def all_failed(s, fit, n_boot, seed, workers):
+        return GofResult(p_value=1.0, n_boot=n_boot, observed_ks=fit.ks, seed=seed,
+                         n_failed=n_boot)
+    monkeypatch.setattr(pipeline, "gof_pvalue", all_failed)
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(out),
+                           "--bootstrap", "100")
+    assert code == 0
+    fitted = sorted(p.stem for p in (out / "fits").glob("*.json"))
+    assert len(fitted) == 6
+    assert [line for line in err.splitlines(keepends=True)
+            if "replicates failed" in line] == [f"{p}: {FAILED_REPLICATES}" for p in fitted]
+
+
 def test_pipeline_rejects_small_bootstrap_before_writing(fixture_csv, tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -571,8 +626,8 @@ def test_input_that_is_not_utf8_is_a_schema_error(command, pareto_file, fixture_
 # configuration, 3 sample too small, 4 degenerate data
 DOCUMENTED_EXIT_CODES = {
     "OSError": 1, "TailkitError": 2, "DomainError": 2, "SchemaError": 2,
-    "KindMismatch": 2, "SingularDesign": 2, "RenderError": 2, "InsufficientGrid": 2,
-    "SampleTooSmall": 3, "EmptySample": 3, "DegenerateTail": 4,
+    "KindMismatch": 2, "SingularDesign": 2, "RenderError": 2,
+    "InsufficientGrid": 3, "SampleTooSmall": 3, "EmptySample": 3, "DegenerateTail": 4,
 }
 
 
