@@ -596,11 +596,13 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         check_n_boot(bootstrap)
     if not math.isfinite(floor):
         raise DomainError(f"floor must be a finite number, got {floor}")
+    if floor < 0 or (floor == 0 and floor_inclusive):
+        raise DomainError(f"floor {floor}{' inclusive' if floor_inclusive else ''} would "
+                          "keep earnings <= 0, which table 1 and the tail fits cannot use")
     check_min_tail(min_tail)
     check_seed(seed)
-    parsed = parse_csv(input)  # before the output directory is made
+    parsed = parse_csv(input)
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
 
     def write(rel, text):

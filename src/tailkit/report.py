@@ -50,8 +50,7 @@ class PlotSeries:
     finite, and log-scaled series must hold strictly positive coordinates;
     construction raises RenderError otherwise. style is one of 'points',
     'line', 'bar'. labels, when present, annotate points (bar charts use
-    them as tick labels). Series are equal when their fields are; as they
-    hold an array, they are not hashable.
+    them as tick labels).
     """
 
     name: str
@@ -78,13 +77,6 @@ class PlotSeries:
         if rows.size:
             x, y = self.points[rows[0]].tolist()
             raise RenderError(f"series {self.name!r}: {what} ({x}, {y}) {why}")
-
-    def __eq__(self, other):
-        if not isinstance(other, PlotSeries):
-            return NotImplemented
-        return ((self.name, self.scale, self.style, self.labels)
-                == (other.name, other.scale, other.style, other.labels)
-                and np.array_equal(self.points, other.points))
 
 
 # -- figure builders -----------------------------------------------------------
@@ -227,13 +219,9 @@ _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"
 
 
 def _ticks_log(lo, hi):
-    out = []
-    k = math.floor(math.log10(lo))
-    while 10.0**k <= hi * (1 + 1e-12):
-        if 10.0**k >= lo * (1 - 1e-12):
-            out.append(10.0**k)
-        k += 1
-    return out or [lo]
+    # 4.4e-13 is just over log10(1 + 1e-12): keeps a decade up to 1e-12 (relative) past an end
+    return [10.0**k for k in range(math.ceil(math.log10(lo) - 4.4e-13),
+                                   math.floor(math.log10(hi) + 4.4e-13) + 1)] or [lo]
 
 
 def _ticks_linear(lo, hi):
@@ -244,12 +232,8 @@ def _ticks_linear(lo, hi):
         step /= 5
     elif (hi - lo) / step < 5:
         step /= 2
-    t = math.ceil(lo / step) * step
-    out = []
-    while t <= hi + step * 1e-9:
-        out.append(round(t, 12))
-        t += step
-    return out
+    return list(dict.fromkeys(round(i * step, 12) for i in range(
+        math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)))
 
 
 def _fmt(v: float) -> str:
@@ -366,7 +350,6 @@ def save_figures(figures: dict, outdir) -> dict:
     bytes, keyed by relative path.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     manifest = {}
     for name, series_list in sorted(figures.items()):
         svg = render_svg(series_list, title=name)

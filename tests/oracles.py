@@ -27,7 +27,14 @@ candidates x points as padded rows and must return the same bits),
 emitters that wrote one Python string per count, CSV row or SVG circle
 (`tailkit.growth.degrees_csv`, `tailkit.report.series_csv` and
 `tailkit.report.render_svg` encode from numpy arrays and must return the
-same text), `read_column_loop`, the CLI's reader that converted one line at a time
+same text; it takes its ticks from `tailkit.report`), `ticks_log_loop` and
+`ticks_linear_loop`, the axis ticks as a loop that stepped until a float
+passed the axis' top (`tailkit.report`'s tick helpers take integer index
+ranges and must return the same labels, and values within 1e-14, on the
+axes the pipeline draws; the loop's accumulated step can end a hair off a
+multiple, which drops the last tick of an axis narrower than about 1e-4 of
+its top or labels a zero `-0`, so it is a reference only there),
+`read_column_loop`, the CLI's reader that converted one line at a time
 (`tailkit.cli._read_column` must return the same array or raise the same
 `SchemaError`), and the earnings pipeline's row path (`parse_csv_rows` to
 `nsfw_rows`), which held one frozen `EarningsRecord` per row: the columnar
@@ -455,6 +462,36 @@ def series_csv_loop(series) -> str:
         return csv_table(("x", "y", "label"),
                          (p + (lab,) for p, lab in zip(points, series.labels)))
     return csv_table(("x", "y"), points)
+
+
+def ticks_log_loop(lo, hi):
+    """Decade ticks in [lo, hi] (relative tolerance 1e-12), found by stepping
+    the exponent up from below lo; [lo] when no decade lies in the range."""
+    out = []
+    k = math.floor(math.log10(lo))
+    while 10.0**k <= hi * (1 + 1e-12):
+        if 10.0**k >= lo * (1 - 1e-12):
+            out.append(10.0**k)
+        k += 1
+    return out or [lo]
+
+
+def ticks_linear_loop(lo, hi):
+    """Ticks at multiples of a 1-2-5 step in [lo, hi], accumulated one float
+    step at a time from the first multiple at or above lo."""
+    if hi == lo:
+        return [lo]
+    step = 10.0 ** math.floor(math.log10(hi - lo))
+    if (hi - lo) / step < 2:
+        step /= 5
+    elif (hi - lo) / step < 5:
+        step /= 2
+    t = math.ceil(lo / step) * step
+    out = []
+    while t <= hi + step * 1e-9:
+        out.append(round(t, 12))
+        t += step
+    return out
 
 
 def render_svg_loop(series_list, title: str = "") -> str:

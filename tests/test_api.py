@@ -1,9 +1,14 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import tailkit
+
+SOURCES = sorted(Path(tailkit.__file__).parent.glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -31,3 +36,9 @@ def test_every_benchmark_probe_resolves():
         if not callable(getattr(importlib.import_module(f"tailkit.{layer}"), func, None)):
             unresolved.append(name)
     assert unresolved == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_parses_as_the_oldest_supported_python(path):
+    # pyproject.toml declares requires-python = ">=3.10"
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -488,9 +489,22 @@ def test_pipeline_with_unidentifiable_imputation_exits_2(tmp_path, capsys):
     header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
     rows = [f"c{i},2021,,cat{i},false,{100 + i},{i},{50.0 + i}" for i in range(60)]
     path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "pipeline", str(path), "--out", str(tmp_path / "out"))
-    assert (code, out) == (2, "")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "pipeline", str(path), "--out", str(out))
+    assert (code, stdout) == (2, "")
     assert err == "error: imputation model has 63 coefficients for 60 observed rows\n"
+    assert not out.exists()
+
+
+def test_pipeline_on_a_header_only_csv_exits_2_without_an_output_directory(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("creator_id,year,platforms,category,nsfw,members,paid_members,earnings\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "pipeline", str(path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.endswith("error: no usable records in input\n")
+    assert not out.exists()
 
 
 def test_pipeline_says_per_platform_how_many_replicates_failed(fixture_csv, tmp_path,
@@ -553,6 +567,49 @@ def test_pipeline_rejects_a_floor_that_is_not_finite(floor, tmp_path, capsys):
     assert code == 2
     assert f"floor must be a finite number, got {float(floor)}" in err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def zero_earnings_csv(tmp_path_factory):
+    """The bundled fixture with its first 40 observed twitch earnings set to 0."""
+    bundled = Path(__file__).resolve().parent.parent / "data" / "earnings_fixture.csv"
+    lines = bundled.read_text(encoding="utf-8").splitlines()
+    twitch = [i for i, line in enumerate(lines)
+              if line.split(",")[2] == "twitch" and line.split(",")[-1]]
+    for i in twitch[:40]:
+        lines[i] = lines[i].rsplit(",", 1)[0] + ",0"
+    path = tmp_path_factory.mktemp("data") / "zeros.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["--floor", "0", "--floor-inclusive"], "0.0 inclusive"),
+    (["--floor=-1"], "-1.0"),
+], ids=["zero-inclusive", "negative"])
+def test_pipeline_refuses_a_floor_that_keeps_zero_earnings(argv, shown, zero_earnings_csv,
+                                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "pipeline", str(zero_earnings_csv), "--out", str(out),
+                                *argv)
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: floor {shown} would keep earnings <= 0, "
+                   "which table 1 and the tail fits cannot use\n")
+    assert not out.exists()
+
+
+def test_pipeline_floor_zero_counts_zero_earnings_nowhere(zero_earnings_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, "pipeline", str(zero_earnings_csv), "--out", str(out),
+                           "--floor", "0")
+    assert code == 0
+    dropped = int(re.search(r"floor filter dropped (\d+) records", err).group(1))
+    assert dropped >= 40
+    [table1] = [row for row in (out / "table1_platform_stats.csv").read_text().splitlines()
+                if row.startswith("twitch,")]
+    table2 = [row.split(",") for row in (out / "table2_nsfw_breakdown.csv").read_text()
+              .splitlines() if row.startswith("twitch,")]
+    assert int(table1.split(",")[1]) == sum(int(row[2]) for row in table2)
 
 
 def test_workers_variable_must_be_an_integer(pareto_file, monkeypatch, capsys):
@@ -714,16 +771,45 @@ def test_entry_point_runs():
     assert proc.returncode == 0
 
 
-def _run_python(*args, cwd=None):
+def _run_python(*args, cwd=None, **run):
     """Run the interpreter with `args` in a fresh process that imports
-    tailkit from this tree."""
+    tailkit from this tree; `run` goes to `subprocess.run`."""
     import tailkit
 
     src = str(Path(tailkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     return subprocess.run([sys.executable, *map(str, args)],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd, **run)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_pipeline_ticks_an_axis_a_few_ulps_wide(tmp_path, monkeypatch):
+    # two platforms whose table-1 medians are 11.01 and 11.010000000000002
+    # (numpy's mean of 10.97 and 11.05): median_vs_alpha's x axis spans 2 ulps.
+    # Ticks drawn by adding a float step until it passes the top never end on
+    # such an axis, so the run gets 1 GiB of address space and a timeout.
+    def tail(lo, n):
+        return [round(lo * (1 - (j + 0.5) / n) ** (-1 / 1.5), 2) for j in range(n)]
+    twitch = [round(10.1 + 0.01 * i, 2) for i in range(50)] + [11.01] + tail(11.5, 50)
+    youtube = [round(10.2 + 0.01 * i, 2) for i in range(49)] + [10.97, 11.05] + tail(11.6, 49)
+    rows = [f"c{i},2021,{p},music,false,100,10,{v}" for i, (p, v) in enumerate(
+        [("twitch", v) for v in twitch] + [("youtube", v) for v in youtube])]
+    path, out = tmp_path / "ulps.csv", tmp_path / "out"
+    path.write_text("creator_id,year,platforms,category,nsfw,members,paid_members,earnings\n"
+                    + "\n".join(rows) + "\n", encoding="utf-8")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # keep numpy's import inside the limit
+    proc = _run_python("-m", "tailkit.cli", "pipeline", path, "--out", out,
+                       timeout=120, preexec_fn=_limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outputs"] == 30
+    svg = (out / "figures" / "median_vs_alpha.svg").read_text(encoding="utf-8")
+    x_labels = re.findall(r'text-anchor="middle" font-family="sans-serif" '
+                          r'font-size="11">([^<]*)<', svg)
+    assert x_labels == ["11.01"]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,9 +1,10 @@
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tailkit.errors import RenderError
 from tailkit.fit import TailFit, select_xmin
@@ -12,6 +13,9 @@ from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.report import (
     LINEAR,
     PlotSeries,
+    _fmt,
+    _ticks_linear,
+    _ticks_log,
     alpha_panel,
     bar_series,
     category_panel,
@@ -25,7 +29,14 @@ from tailkit.report import (
 )
 from tailkit.rng import make_rng
 
-from oracles import assert_same_text, render_svg_loop, series_csv_loop, spearman_naive
+from oracles import (
+    assert_same_text,
+    render_svg_loop,
+    series_csv_loop,
+    spearman_naive,
+    ticks_linear_loop,
+    ticks_log_loop,
+)
 
 # published per-platform values used as rendering fixtures
 PAPER_ALPHAS = {"youtube": 1.8, "instagram": 1.84, "twitch": 1.93,
@@ -254,15 +265,70 @@ def test_plot_series_points_are_a_frozen_copy():
         PlotSeries(name="demo", points=((1.0, 2.0, 3.0),))
 
 
-def test_plot_series_equality_is_by_value_and_unhashable():
-    a = PlotSeries(name="demo", points=((1, 1), (2, 0.5)))
-    assert a == PlotSeries(name="demo", points=np.array([[1.0, 1.0], [2.0, 0.5]]))
-    assert a != PlotSeries(name="demo", points=((1, 1), (2, 0.25)))
-    assert a != PlotSeries(name="demo", points=((1, 1),))
-    assert a != PlotSeries(name="other", points=((1, 1), (2, 0.5)))
-    assert a != PlotSeries(name="demo", style="line", points=((1, 1), (2, 0.5)))
-    with pytest.raises(TypeError):
-        hash(a)
+# -- axis ticks -----------------------------------------------------------------------
+
+def test_ticks_equal_the_former_loops_on_pipeline_axes():
+    # the axes `tailkit pipeline` draws: exponents 1.01-6 (bars from 0, year
+    # series), cent medians 1-1000 and their midpoints, bar positions 1..n,
+    # years 2018-2024, and CCDFs from cent earnings to 1e6 against shares
+    # from 1/n to 1. The loop's accumulated step drifts up to about 1e-12
+    # off the multiples, which no label or pixel shows.
+    rng = make_rng(23)
+    for _ in range(3000):
+        alphas = np.sort(rng.uniform(1.01, 6.0, rng.integers(1, 7))).tolist()
+        m0, m1 = np.sort(np.round(rng.uniform(1.0, 1000.0, 2), 2)).tolist()
+        y0, y1 = np.sort(rng.integers(2018, 2025, 2)).tolist()
+        linear = [(alphas[0], alphas[-1]), (0.0, alphas[-1]), (m0, m1), ((m0 + m1) / 2, m1),
+                  (1.0, float(rng.integers(1, 12))), (float(y0), float(y1))]
+        log = [(m0, m1), (m0, round(10 ** rng.uniform(3, 6), 2)),
+               (1.0 / rng.integers(50, 100_000), 1.0)]
+        for lo, hi in linear:
+            ticks, former = _ticks_linear(lo, hi), ticks_linear_loop(lo, hi)
+            assert list(map(_fmt, ticks)) == list(map(_fmt, former)), (lo, hi)
+            assert ticks == pytest.approx(former, rel=1e-14), (lo, hi)
+        for lo, hi in log:
+            assert _ticks_log(lo, hi) == ticks_log_loop(lo, hi), (lo, hi)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DECADE = st.integers(-307, 308).map(lambda k: 10.0**k)
+POSITIVE = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max) | DECADE
+
+
+@settings(max_examples=500, deadline=None)
+@given(FINITE, FINITE)
+def test_linear_ticks_are_few_increasing_and_on_the_axis(a, b):
+    lo, hi = min(a, b), max(a, b)
+    # the step of an axis narrower than about 1e-323 underflows to 0, and
+    # hi - lo can overflow: spans below the smallest normal float, or past
+    # the largest, are left out
+    assume(sys.float_info.min <= hi - lo < math.inf)
+    ticks = _ticks_linear(lo, hi)
+    assert 1 <= len(ticks) <= 11
+    assert all(s < t for s, t in zip(ticks, ticks[1:]))
+    # rounding to 12 places, the 1e-9 step allowance at the top, float products
+    tol = 5e-13 + 1e-9 * (hi - lo) + 4 * sys.float_info.epsilon * max(-lo, hi)
+    assert lo - tol <= ticks[0] and ticks[-1] <= hi + tol
+
+
+@settings(max_examples=500, deadline=None)
+@given(POSITIVE, POSITIVE)
+def test_log_ticks_are_the_decades_on_the_axis(a, b):
+    lo, hi = min(a, b), max(a, b)
+    ticks = _ticks_log(lo, hi)
+    decades = [10.0**k for k in range(-307, 309)]
+    inside = [d for d in decades if lo <= d <= hi]
+    near = [d for d in decades if lo * (1 - 2e-12) <= d <= hi * (1 + 2e-12)]
+    if ticks != [lo] or inside:
+        first = decades.index(ticks[0])
+        assert ticks == decades[first:first + len(ticks)]
+        assert set(inside) <= set(ticks) <= set(near)
+
+
+def test_svg_log_axis_reaches_the_largest_decade():
+    s = PlotSeries(name="wide", style="line", points=((1.0, 1.0), (1.5e308, 0.5)))
+    svg = render_svg([s])
+    assert ">1e+308<" in svg and svg.endswith("</svg>\n")
 
 
 def test_svg_bar_chart_linear_scale():
