@@ -74,15 +74,23 @@ _POW10 = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10^18: a count has 1 + 
 class DegreeSequence:
     """Per-node attention (copy) or degree (ba) counts for one run.
 
-    Counts are events or degrees, so they must be >= 0; construction raises
-    DomainError otherwise.
+    Counts are events or degrees, so they must be whole numbers >= 0 that
+    int64 holds; construction raises DomainError otherwise, before any cast
+    could truncate or wrap a value.
     """
 
     counts: np.ndarray
     steps: int  # attention events (copy) or total edges (ba)
 
     def __post_init__(self):
-        c = np.array(self.counts, dtype=np.int64)  # own copy, then freeze
+        c = np.asarray(self.counts)
+        if c.dtype.kind not in "biu":
+            f = np.asarray(c, dtype=float)
+            bad = f[~(np.isfinite(f) & (f == np.floor(f)) & (np.abs(f) < 2.0**63))]
+            if bad.size:
+                raise DomainError(f"counts must be whole numbers in int64 range: "
+                                  f"{bad.size} are not, first {bad[0]}")
+        c = np.array(c, dtype=np.int64)  # own copy, then freeze
         if c.size and c.min() < 0:
             raise DomainError(f"counts must be >= 0: {np.count_nonzero(c < 0)} "
                               f"negative, least {int(c.min())}")

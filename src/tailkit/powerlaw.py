@@ -186,7 +186,7 @@ def pl_sample(model: PowerLawModel, n: int, seed: int) -> Sample:
     if n_over:
         raise DomainError(f"{n_over} of {n} draws are not finite: they overflow float64 "
                           f"for the power law with alpha={model.alpha}, xmin={model.xmin}")
-    return Sample(values=np.sort(x), kind=model.kind)
+    return Sample(values=x, kind=model.kind)
 
 
 # -- Kolmogorov-Smirnov distance -------------------------------------------

@@ -227,6 +227,10 @@ def _ticks_log(lo, hi):
 def _ticks_linear(lo, hi):
     if hi == lo:
         return [lo]
+    if hi - lo == math.inf:
+        raise RenderError(f"linear axis from {lo:g} to {hi:g} spans more than the largest float64")
+    if hi - lo < 4 * 5e-324:  # under 4 subnormal steps, the step below underflows to 0.0
+        return [lo]
     step = 10.0 ** math.floor(math.log10(hi - lo))
     if (hi - lo) / step < 2:
         step /= 5

@@ -26,6 +26,10 @@ class Sample:
     one <= 0 raises DomainError. `n_rejected` records how many raw
     inputs were dropped during construction (non-finite, zero or negative
     values).
+
+    Construction makes exactly one n-sized float64 copy of `values`, whatever
+    their dtype, and sorts that copy in place when it is not ascending; the
+    copy is read-only and detached from the caller's array.
     """
 
     values: np.ndarray
@@ -35,13 +39,15 @@ class Sample:
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, DISCRETE):
             raise DomainError(f"unknown sample kind: {self.kind!r}")
-        v = np.asarray(self.values, dtype=float).ravel()
+        # the one n-sized float64 copy for any input dtype; it detaches the
+        # values from the caller, and an unsorted one is sorted in place
+        v = np.array(self.values, dtype=float, order="C").ravel()
         if v.size == 0:
             raise EmptySample("sample needs at least one observation")
         if not np.all(np.isfinite(v)):
             raise DomainError("sample values must be finite")
-        # the one n-sized copy, which detaches the values from the caller
-        v = v.copy() if np.all(v[1:] >= v[:-1]) else np.sort(v)
+        if not np.all(v[1:] >= v[:-1]):
+            v.sort()
         if v[0] <= 0:
             raise DomainError("sample values must be > 0")
         if self.kind == DISCRETE:  # a block at a time: no n-sized float temporary
@@ -70,11 +76,17 @@ def make_sample(values, kind: str = CONTINUOUS) -> Sample:
 
     Non-finite and non-positive entries are filtered out (their count is
     reported on the result as `n_rejected`); the rest are sorted ascending.
+    Input of a dtype that converts to float64 exactly in sign and finiteness
+    (bool, integers, float16 to float64) is filtered in that dtype, so the
+    Sample's float64 copy is the only one made; other input (numeric
+    strings, objects, long doubles) is converted to float64 first.
 
     Raises EmptySample if nothing survives the filter, and KindMismatch if a
     discrete sample keeps a non-integer value.
     """
-    v = np.asarray(values, dtype=float).ravel()
+    v = np.asarray(values)
+    if not np.can_cast(v.dtype, float):
+        v = np.asarray(v, dtype=float)
     keep = np.isfinite(v) & (v > 0)
     rejected = int(v.size - keep.sum())
     if rejected:

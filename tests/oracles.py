@@ -34,12 +34,16 @@ ranges and must return the same labels, and values within 1e-14, on the
 axes the pipeline draws; the loop's accumulated step can end a hair off a
 multiple, which drops the last tick of an axis narrower than about 1e-4 of
 its top or labels a zero `-0`, so it is a reference only there),
-`read_column_loop`, the CLI's reader that converted one line at a time
-(`tailkit.cli._read_column` must return the same array or raise the same
-`SchemaError`), and the earnings pipeline's row path (`parse_csv_rows` to
-`nsfw_rows`), which held one frozen `EarningsRecord` per row: the columnar
-`tailkit.pipeline` stages must accept the same rows with the same
-diagnostics, fit the same `coef` bit for bit, and group the same samples.
+`make_sample_float`, the route that converted any input to a float64 array
+before filtering it (`tailkit.sample.make_sample` filters numeric input in
+its own dtype and must give the same `values`, `kind` and `n_rejected`, or
+raise the same error), `read_column_loop`, the CLI's reader that converted
+one line at a time (`tailkit.cli._read_column` must return the same array
+or raise the same `SchemaError`), and the earnings pipeline's row path
+(`parse_csv_rows` to `nsfw_rows`), which held one frozen `EarningsRecord`
+per row: the columnar `tailkit.pipeline` stages must accept the same rows
+with the same diagnostics, fit the same `coef` bit for bit, and group the
+same samples.
 """
 
 import bisect
@@ -50,7 +54,7 @@ import math
 import numpy as np
 
 from tailkit import fit, growth
-from tailkit.errors import DegenerateTail, RenderError, SampleTooSmall, SchemaError
+from tailkit.errors import DegenerateTail, EmptySample, RenderError, SampleTooSmall, SchemaError
 from tailkit.fit import (
     TailFit,
     _candidate_indices,
@@ -83,7 +87,7 @@ from tailkit.report import (
     csv_table,
 )
 from tailkit.rng import make_rng
-from tailkit.sample import CONTINUOUS, make_sample
+from tailkit.sample import CONTINUOUS, Sample, make_sample
 
 
 def ks_naive(tail, alpha, xmin, kind="continuous"):
@@ -242,6 +246,18 @@ def bounds_gathered(c, idx, stride):
         lb[lo:hi] = np.maximum.reduceat(c.gaps(pts, idx[rows]), starts)
         lo = hi
     return lb
+
+
+def make_sample_float(values, kind=CONTINUOUS) -> Sample:
+    """make_sample through one float64 conversion of the whole input."""
+    v = np.asarray(values, dtype=float).ravel()
+    keep = np.isfinite(v) & (v > 0)
+    rejected = int(v.size - keep.sum())
+    if rejected:
+        v = v[keep]
+    if v.size == 0:
+        raise EmptySample(f"no positive finite values (rejected {rejected})")
+    return Sample(values=v, kind=kind, n_rejected=rejected)
 
 
 def ccdf_naive(values):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from functools import partial
 from unittest.mock import patch
@@ -180,9 +181,17 @@ def test_copy_model_peak_memory():
 
 
 def test_sample_of_copy_counts_peak_memory():
-    # one float copy of the counts and the sort that detaches it, 7.6 MiB each
+    # the Sample's one float64 copy of the int64 counts (7.6 MiB), which also
+    # detaches it from them, plus byte-sized masks; the counts are filtered
+    # as int64, and an unsorted copy is sorted in place
     counts = simulate_copy(10**6, 0.2, 7).counts
-    assert _traced_peak(make_sample, counts, kind=DISCRETE) <= 20 * 2**20
+    assert _traced_peak(make_sample, counts, kind=DISCRETE) <= 12 * 2**20
+
+
+def test_exponent_of_copy_counts_peak_memory():
+    # the same float64 copy of the counts, then the threshold scan over it
+    d = simulate_copy(10**6, 0.2, 7)
+    assert _traced_peak(measure_exponent, d) <= 12 * 2**20
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
@@ -309,6 +318,19 @@ def test_sweep_csv_header():
     rows = gamma_sweep([0.2], n_nodes=5000, seeds_per_gamma=1, seed=2)
     text = sweep_csv(rows)
     assert text.splitlines()[0] == "gamma,alpha_pred,alpha_mean,alpha_sd,n_runs"
+
+
+def test_degree_sequence_refuses_counts_int64_cannot_hold():
+    for counts, n_bad, first in (([1.5, 2.7], 2, "1.5"), ([1.0, np.nan], 1, "nan"),
+                                 ([np.inf, 2.0], 1, "inf"), ([-0.5], 1, "-0.5"),
+                                 ([1e19], 1, "1e+19"), (["3", "4.25"], 1, "4.25")):
+        with pytest.raises(DomainError, match=f"whole numbers in int64 range: {n_bad} are "
+                                              f"not, first {re.escape(first)}$"):
+            DegreeSequence(counts=np.array(counts), steps=3)
+    d = DegreeSequence(counts=np.array([[0.0, 3.0], [2.0**62, 1.0]]), steps=3)
+    assert d.counts.dtype == np.int64 and d.counts.tolist() == [[0, 3], [2**62, 1]]
+    with pytest.raises(DomainError, match="counts must be >= 0: 1 negative, least -2"):
+        DegreeSequence(counts=np.array([-2.0, 1.0]), steps=0)
 
 
 def test_degree_sequence_immutable():

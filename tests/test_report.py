@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tailkit.errors import RenderError
 from tailkit.fit import TailFit, select_xmin
@@ -295,14 +295,20 @@ DECADE = st.integers(-307, 308).map(lambda k: 10.0**k)
 POSITIVE = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max) | DECADE
 
 
+SUBNORMAL = st.integers(-2**52, 2**52).map(lambda k: k * 5e-324)
+
+
 @settings(max_examples=500, deadline=None)
-@given(FINITE, FINITE)
+@given(FINITE | SUBNORMAL, FINITE | SUBNORMAL)
+@example(5e-324, 1e-323).via("an axis one subnormal step wide")
+@example(0.0, 1.5e-323).via("the step divided by 5 underflows")
+@example(-1e308, 1e308).via("the span overflows")
 def test_linear_ticks_are_few_increasing_and_on_the_axis(a, b):
     lo, hi = min(a, b), max(a, b)
-    # the step of an axis narrower than about 1e-323 underflows to 0, and
-    # hi - lo can overflow: spans below the smallest normal float, or past
-    # the largest, are left out
-    assume(sys.float_info.min <= hi - lo < math.inf)
+    if hi - lo == math.inf:
+        with pytest.raises(RenderError, match="spans more than the largest float64"):
+            _ticks_linear(lo, hi)
+        return
     ticks = _ticks_linear(lo, hi)
     assert 1 <= len(ticks) <= 11
     assert all(s < t for s, t in zip(ticks, ticks[1:]))
@@ -329,6 +335,18 @@ def test_svg_log_axis_reaches_the_largest_decade():
     s = PlotSeries(name="wide", style="line", points=((1.0, 1.0), (1.5e308, 0.5)))
     svg = render_svg([s])
     assert ">1e+308<" in svg and svg.endswith("</svg>\n")
+
+
+def test_svg_linear_axis_of_extreme_width():
+    # one subnormal step wide: the tick step would underflow to 0
+    s = PlotSeries(name="narrow", points=((5e-324, 1.0), (1e-323, 2.0)), scale=LINEAR)
+    svg = render_svg([s])
+    ET.fromstring(svg)
+    assert ">4.94066e-324<" in svg and "nan" not in svg
+    # wider than float64 holds: refused, not an OverflowError
+    s = PlotSeries(name="wide", points=((-1e308, 1.0), (1e308, 2.0)), scale=LINEAR)
+    with pytest.raises(RenderError, match="from -1e\\+308 to 1e\\+308 spans more"):
+        render_svg([s])
 
 
 def test_svg_bar_chart_linear_scale():
