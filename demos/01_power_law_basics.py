@@ -6,9 +6,7 @@ Run:  python demos/01_power_law_basics.py
 import numpy as np
 
 from tailkit import (
-    Convention,
     PowerLawModel,
-    convert_exponent,
     empirical_ccdf,
     ks_distance,
     pl_ccdf,
@@ -17,12 +15,10 @@ from tailkit import (
 )
 
 # A power law with density exponent 2.5 above xmin = 1. The complementary
-# CDF falls with exponent alpha - 1 = 1.5: both conventions are one call
-# apart.
+# CDF falls with exponent alpha - 1 = 1.5.
 model = PowerLawModel(alpha=2.5, xmin=1.0)
 print("density exponent:", model.alpha)
-print("ccdf exponent:   ", convert_exponent(model.alpha, Convention.DENSITY,
-                                            Convention.CCDF))
+print("ccdf exponent:   ", model.alpha - 1.0)
 
 # Closed-form checks: the CCDF is 1 at the threshold and follows
 # (x/xmin)^-(alpha-1) beyond it.

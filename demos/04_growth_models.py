@@ -11,15 +11,17 @@ point: degree CCDF exponent 2 (density 3) regardless of the edge count m.
 Run:  python demos/04_growth_models.py
 """
 
+import numpy as np
+
 from tailkit import (
     ccdf_slope,
-    gamma_sweep,
     measure_exponent,
     simulate_ba,
     simulate_copy,
     theoretical_alpha,
 )
-from tailkit.growth import sweep_csv
+from tailkit.report import csv_table
+from tailkit.rng import make_rng
 
 # --- one copy-model run, measured against its prediction ----------------------
 n_nodes, gamma = 200_000, 0.5
@@ -33,9 +35,15 @@ print(f"  conservation: counts sum to {run.counts.sum()} "
       f"= {n_nodes} arrivals + {run.steps} events")
 
 # --- sweep exploration levels ---------------------------------------------------
+# Run r at the gi-th gamma draws its seed from (101, gi, r).
 print("\nsweep (5 runs per gamma):")
-rows = gamma_sweep([0.0, 0.2, 0.5], n_nodes=200_000, seeds_per_gamma=5, seed=101)
-print(sweep_csv(rows))
+rows = []
+for gi, g in enumerate((0.0, 0.2, 0.5)):
+    seeds = [int(make_rng(101, gi, r).integers(2**63)) for r in range(5)]
+    alphas = [measure_exponent(simulate_copy(200_000, g, s)).alpha for s in seeds]
+    rows.append((g, theoretical_alpha(g), float(np.mean(alphas)),
+                 float(np.std(alphas, ddof=1)), len(alphas)))
+print(csv_table(("gamma", "alpha_pred", "alpha_mean", "alpha_sd", "n_runs"), rows))
 
 # --- preferential attachment -----------------------------------------------------
 ba = simulate_ba(200_000, m=2, seed=1)

@@ -2,9 +2,9 @@
 
 The library covers four jobs that belong together:
 
-* distribution primitives: Pareto / zeta power laws in both exponent
-  conventions, inverse-CDF sampling, the empirical CCDF and the KS distance
-  (`tailkit.powerlaw`, `tailkit.sample`);
+* distribution primitives: Pareto / zeta power laws with density exponent
+  alpha (the CCDF exponent is alpha - 1), inverse-CDF sampling, the
+  empirical CCDF and the KS distance (`tailkit.powerlaw`, `tailkit.sample`);
 * likelihood/KS tail fitting with data-driven threshold selection and a
   semiparametric bootstrap goodness-of-fit (`tailkit.fit`);
 * alternative tail-index estimators (Hill, adjusted Hill, moments) with
@@ -54,20 +54,16 @@ from .fit import (
 from .growth import (
     DegreeSequence,
     ccdf_slope,
-    gamma_sweep,
     measure_exponent,
     simulate_ba,
     simulate_copy,
     theoretical_alpha,
 )
 from .powerlaw import (
-    Convention,
     PowerLawModel,
-    convert_exponent,
     hurwitz_zeta,
     ks_distance,
     pl_ccdf,
-    pl_cdf,
     pl_pdf,
     pl_ppf,
     pl_sample,
@@ -78,7 +74,6 @@ __all__ = [
     "__version__",
     "CONTINUOUS",
     "DISCRETE",
-    "Convention",
     "DegenerateTail",
     "DegreeSequence",
     "DomainError",
@@ -97,13 +92,11 @@ __all__ = [
     "TailkitError",
     "adjusted_hill",
     "ccdf_slope",
-    "convert_exponent",
     "double_bootstrap_k",
     "empirical_ccdf",
     "estimator_comparison",
     "fit_at",
     "fit_report",
-    "gamma_sweep",
     "gof_pvalue",
     "hill",
     "hurwitz_zeta",
@@ -114,7 +107,6 @@ __all__ = [
     "mle_alpha_discrete",
     "moments",
     "pl_ccdf",
-    "pl_cdf",
     "pl_pdf",
     "pl_ppf",
     "pl_sample",

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import DomainError
 from .fit import TailFit, select_xmin
-from .report import csv_table
 from .rng import make_rng
 from .sample import DISCRETE, empirical_ccdf, make_sample
 
@@ -46,10 +45,8 @@ __all__ = [
     "simulate_copy",
     "simulate_ba",
     "measure_exponent",
-    "gamma_sweep",
     "ccdf_slope",
     "degrees_csv",
-    "sweep_csv",
 ]
 
 COPY = "copy"
@@ -84,12 +81,15 @@ class DegreeSequence:
 
     def __post_init__(self):
         c = np.asarray(self.counts)
+        bad = np.empty(0)
         if c.dtype.kind not in "biu":
             f = np.asarray(c, dtype=float)
             bad = f[~(np.isfinite(f) & (f == np.floor(f)) & (np.abs(f) < 2.0**63))]
-            if bad.size:
-                raise DomainError(f"counts must be whole numbers in int64 range: "
-                                  f"{bad.size} are not, first {bad[0]}")
+        elif c.dtype == np.uint64:  # the one integer dtype int64 cannot hold
+            bad = c[c >= 2**63]
+        if bad.size:
+            raise DomainError(f"counts must be whole numbers in int64 range: "
+                              f"{bad.size} are not, first {bad[0]}")
         c = np.array(c, dtype=np.int64)  # own copy, then freeze
         if c.size and c.min() < 0:
             raise DomainError(f"counts must be >= 0: {np.count_nonzero(c < 0)} "
@@ -247,31 +247,6 @@ def measure_exponent(d: DegreeSequence, min_tail: int = 50) -> TailFit:
     return select_xmin(make_sample(d.counts, kind=DISCRETE), min_tail)
 
 
-def gamma_sweep(gammas, n_nodes: int, seeds_per_gamma: int, seed: int):
-    """Measured vs predicted exponent across exploration levels.
-
-    Returns rows (gamma, alpha_predicted, alpha_measured_mean,
-    alpha_measured_sd, n_runs) sorted by gamma; each cell averages
-    `seeds_per_gamma` independent runs with seeds derived from
-    (seed, gamma index, run index).
-    """
-    for g in gammas:
-        if not 0.0 <= g <= 0.9:
-            raise DomainError(f"sweep gamma must lie in [0, 0.9], got {g}")
-    if seeds_per_gamma < 1:
-        raise DomainError(f"seeds_per_gamma must be >= 1, got {seeds_per_gamma}")
-    rows = []
-    for gi, g in enumerate(sorted(gammas)):
-        alphas = []
-        for r in range(seeds_per_gamma):
-            run_seed = int(make_rng(seed, gi, r).integers(2**63))
-            alphas.append(measure_exponent(simulate_copy(n_nodes, g, run_seed)).alpha)
-        mean = float(np.mean(alphas))
-        sd = float(np.std(alphas, ddof=1)) if len(alphas) > 1 else 0.0
-        rows.append((g, theoretical_alpha(g), mean, sd, len(alphas)))
-    return rows
-
-
 def ccdf_slope(d: DegreeSequence, lo: float = 10.0, hi: float = 500.0) -> float:
     """Least-squares slope of the log-log degree CCDF over [lo, hi].
 
@@ -312,8 +287,3 @@ def _decimal_lines(v: np.ndarray) -> str:
         more = v > 0
         pos, v = pos[more], v[more]
     return buf.tobytes().decode("ascii")
-
-
-def sweep_csv(rows) -> str:
-    """CSV of `gamma_sweep` rows."""
-    return csv_table(("gamma", "alpha_pred", "alpha_mean", "alpha_sd", "n_runs"), rows)

@@ -1,12 +1,10 @@
 """Power-law distribution primitives.
 
 Conventions: `alpha` is always the DENSITY exponent (p(x) ~ x^-alpha). The
-complementary-CDF exponent is exactly one less; `convert_exponent` moves
-between the two. Continuous tails use the closed Pareto form, discrete tails
-use Hurwitz-zeta normalization.
+complementary-CDF exponent is exactly one less, alpha - 1. Continuous tails
+use the closed Pareto form, discrete tails use Hurwitz-zeta normalization.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,34 +14,15 @@ from .rng import make_rng
 from .sample import CONTINUOUS, DISCRETE, Sample, distinct_runs
 
 __all__ = [
-    "Convention",
     "PowerLawModel",
-    "convert_exponent",
     "hurwitz_zeta",
     "pl_ccdf",
-    "pl_cdf",
     "pl_pdf",
     "pl_ppf",
     "pl_sample",
     "ks_distance",
     "ks_gap",
 ]
-
-
-class Convention(enum.Enum):
-    """Which exponent a number refers to: density p(x) or CCDF P(X >= x)."""
-
-    DENSITY = "density"
-    CCDF = "ccdf"
-
-
-def convert_exponent(alpha: float, src: Convention, dst: Convention) -> float:
-    """Convert an exponent between conventions (density = ccdf + 1, exact)."""
-    if src == dst:
-        return alpha
-    if src == Convention.DENSITY and dst == Convention.CCDF:
-        return alpha - 1.0
-    return alpha + 1.0
 
 
 @dataclass(frozen=True)
@@ -113,10 +92,6 @@ def pl_ccdf(model: PowerLawModel, x):
         out = hurwitz_zeta(model.alpha, np.ceil(x)) / hurwitz_zeta(model.alpha, model.xmin)
     return float(out) if np.ndim(out) == 0 else out
 
-def pl_cdf(model: PowerLawModel, x):
-    """P(X <= x); for the discrete kind this is 1 - P(X >= floor(x)+1)."""
-    x = _check_x(model, x)
-    return 1.0 - pl_ccdf(model, x if model.kind == CONTINUOUS else np.floor(x) + 1.0)
 
 def pl_pdf(model: PowerLawModel, x):
     """Density (continuous) or probability mass (discrete) at x."""
@@ -221,7 +196,8 @@ def ks_distance(tail, model: PowerLawModel) -> float:
         raise DomainError("tail values must be >= model.xmin")
     xs, cum_hi = distinct_runs(x)
     n = x.size
-    F_hi = pl_cdf(model, xs)
+    # P(X <= v) = 1 - P(X >= v+1) on integer support
+    F_hi = 1.0 - pl_ccdf(model, xs if model.kind == CONTINUOUS else xs + 1.0)
     # P(X <= v-1) on integer support
     F_lo = None if model.kind == CONTINUOUS else 1.0 - pl_ccdf(model, xs)
     gap = ks_gap(F_hi, cum_hi / n, np.concatenate(([0], cum_hi[:-1])) / n, F_lo)

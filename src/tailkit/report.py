@@ -225,19 +225,20 @@ def _ticks_log(lo, hi):
 
 
 def _ticks_linear(lo, hi):
-    if hi == lo:
-        return [lo]
     if hi - lo == math.inf:
         raise RenderError(f"linear axis from {lo:g} to {hi:g} spans more than the largest float64")
-    if hi - lo < 4 * 5e-324:  # under 4 subnormal steps, the step below underflows to 0.0
+    # One tick for an axis under 4 subnormal steps wide (the step below would
+    # underflow to 0.0) or under 1e-12 of its largest magnitude (ticks would
+    # be float noise apart). The other ticks are distinct multiples of the
+    # step, left unrounded so that each stays on the axis.
+    if hi - lo < max(4 * 5e-324, 1e-12 * max(-lo, hi)):
         return [lo]
     step = 10.0 ** math.floor(math.log10(hi - lo))
     if (hi - lo) / step < 2:
         step /= 5
     elif (hi - lo) / step < 5:
         step /= 2
-    return list(dict.fromkeys(round(i * step, 12) for i in range(
-        math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)))
+    return [i * step for i in range(math.ceil(lo / step), math.floor(hi / step + 1e-9) + 1)]
 
 
 def _fmt(v: float) -> str:

@@ -901,6 +901,14 @@ def test_demo_runs(demo, tmp_path):
                        cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if demo == "04_growth_models":  # the sweep: a header, then one row per gamma
+        lines = proc.stdout.splitlines()
+        head = lines.index("gamma,alpha_pred,alpha_mean,alpha_sd,n_runs")
+        rows = [line.split(",") for line in lines[head + 1:head + 4]]
+        assert [(r[0], r[1], r[4]) for r in rows] == [("0", "2", "5"), ("0.2", "2.25", "5"),
+                                                      ("0.5", "3", "5")]
+        assert all(float(r[2]) > 0 and float(r[3]) > 0 for r in rows)
+        assert lines[head + 4] == ""
 
 
 def test_earnings_demo_runs(tmp_path):

@@ -17,11 +17,9 @@ from tailkit.growth import (
     DegreeSequence,
     ccdf_slope,
     degrees_csv,
-    gamma_sweep,
     measure_exponent,
     simulate_ba,
     simulate_copy,
-    sweep_csv,
     theoretical_alpha,
 )
 from tailkit.rng import make_rng
@@ -245,30 +243,6 @@ def test_measure_exponent_records_the_min_tail_of_its_scan():
     assert measure_exponent(d, min_tail=40).min_tail == 40
 
 
-def test_gamma_sweep_rows_and_monotonicity():
-    rows = gamma_sweep([0.5, 0.0], n_nodes=60_000, seeds_per_gamma=2, seed=31)
-    assert [r[0] for r in rows] == [0.0, 0.5]
-    assert rows[0][1] == 2.0 and rows[1][1] == 3.0
-    assert rows[0][2] < rows[1][2]  # measured mean increases with gamma
-    assert all(r[4] == 2 for r in rows)
-
-
-def test_gamma_sweep_empty():
-    assert gamma_sweep([], n_nodes=5000, seeds_per_gamma=2, seed=1) == []
-
-
-def test_gamma_sweep_domain():
-    with pytest.raises(DomainError):
-        gamma_sweep([0.95], n_nodes=5000, seeds_per_gamma=1, seed=1)
-
-
-@pytest.mark.parametrize("seeds_per_gamma", [0, -1])
-def test_gamma_sweep_needs_a_run_per_gamma(seeds_per_gamma):
-    # no run would leave a nan mean under an n_runs of 0
-    with pytest.raises(DomainError, match=f"seeds_per_gamma must be >= 1, got {seeds_per_gamma}"):
-        gamma_sweep([0.2], n_nodes=5000, seeds_per_gamma=seeds_per_gamma, seed=1)
-
-
 # -- exports ------------------------------------------------------------------------
 
 def test_degrees_csv_roundtrip():
@@ -314,12 +288,6 @@ def test_degree_sequence_rejects_negative_counts():
     assert degrees_csv(DegreeSequence(counts=[0], steps=0)) == "count\n0\n"
 
 
-def test_sweep_csv_header():
-    rows = gamma_sweep([0.2], n_nodes=5000, seeds_per_gamma=1, seed=2)
-    text = sweep_csv(rows)
-    assert text.splitlines()[0] == "gamma,alpha_pred,alpha_mean,alpha_sd,n_runs"
-
-
 def test_degree_sequence_refuses_counts_int64_cannot_hold():
     for counts, n_bad, first in (([1.5, 2.7], 2, "1.5"), ([1.0, np.nan], 1, "nan"),
                                  ([np.inf, 2.0], 1, "inf"), ([-0.5], 1, "-0.5"),
@@ -327,6 +295,9 @@ def test_degree_sequence_refuses_counts_int64_cannot_hold():
         with pytest.raises(DomainError, match=f"whole numbers in int64 range: {n_bad} are "
                                               f"not, first {re.escape(first)}$"):
             DegreeSequence(counts=np.array(counts), steps=3)
+    with pytest.raises(DomainError, match="whole numbers in int64 range: 1 are not, "
+                                          "first 9223372036854775808$"):
+        DegreeSequence(counts=np.array([2**63, 1], dtype=np.uint64), steps=0)
     d = DegreeSequence(counts=np.array([[0.0, 3.0], [2.0**62, 1.0]]), steps=3)
     assert d.counts.dtype == np.int64 and d.counts.tolist() == [[0, 3], [2**62, 1]]
     with pytest.raises(DomainError, match="counts must be >= 0: 1 negative, least -2"):

@@ -7,32 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from tailkit.errors import DomainError
 from tailkit.powerlaw import (
-    Convention,
     PowerLawModel,
-    convert_exponent,
     hurwitz_zeta,
     ks_distance,
     pl_ccdf,
-    pl_cdf,
     pl_ppf,
     pl_sample,
 )
 from tailkit.rng import make_rng
 
 from oracles import discrete_ppf_grid, discrete_ppf_naive, ks_naive, zeta_naive
-
-
-# -- conventions -------------------------------------------------------------
-
-def test_convention_relation():
-    assert convert_exponent(2.5, Convention.DENSITY, Convention.CCDF) == 1.5
-    assert convert_exponent(1.5, Convention.CCDF, Convention.DENSITY) == 2.5
-
-
-@given(st.floats(min_value=1.0001, max_value=50, allow_nan=False))
-def test_convention_roundtrip_exact(alpha):
-    there = convert_exponent(alpha, Convention.DENSITY, Convention.CCDF)
-    assert convert_exponent(there, Convention.CCDF, Convention.DENSITY) == alpha
 
 
 # -- model validation ---------------------------------------------------------
