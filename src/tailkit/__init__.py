@@ -46,8 +46,7 @@ from .fit import (
     fit_at,
     fit_report,
     gof_pvalue,
-    mle_alpha_continuous,
-    mle_alpha_discrete,
+    mle_alpha,
     power_law_proportion,
     select_xmin,
 )
@@ -103,8 +102,7 @@ __all__ = [
     "ks_distance",
     "make_sample",
     "measure_exponent",
-    "mle_alpha_continuous",
-    "mle_alpha_discrete",
+    "mle_alpha",
     "moments",
     "pl_ccdf",
     "pl_pdf",

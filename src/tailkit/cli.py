@@ -193,7 +193,7 @@ def cmd_pipeline(args) -> int:
     manifest = run_pipeline(args.input, args.out, floor=args.floor,
                             floor_inclusive=args.floor_inclusive,
                             min_tail=args.min_tail, bootstrap=args.bootstrap,
-                            seed=args.seed, workers=_workers())
+                            seed=args.seed, workers=_workers() if args.bootstrap else 1)
     sys.stdout.write(json_text({"outputs": len(manifest["outputs"]),
                                 "out_dir": str(Path(args.out))}, indent=None))
     return 0

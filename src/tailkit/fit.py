@@ -56,8 +56,7 @@ from .sample import CONTINUOUS, DISCRETE, Sample, distinct_runs
 __all__ = [
     "TailFit",
     "GofResult",
-    "mle_alpha_continuous",
-    "mle_alpha_discrete",
+    "mle_alpha",
     "check_min_tail",
     "select_xmin",
     "fit_at",
@@ -109,34 +108,6 @@ class GofResult:
 
 # -- maximum likelihood ------------------------------------------------------
 
-def _tail_array(tail) -> np.ndarray:
-    x = tail.values if isinstance(tail, Sample) else np.sort(np.asarray(tail, dtype=float))
-    if x.size < 2:
-        raise SampleTooSmall("tail needs at least 2 observations")
-    return x
-
-
-def mle_alpha_continuous(tail, xmin: float):
-    """Closed-form continuous MLE: alpha = 1 + n / sum(log(x/xmin)).
-
-    Returns (alpha, stderr, loglik) with stderr = (alpha-1)/sqrt(n).
-    Raises DomainError for xmin <= 0, DegenerateTail for a tail with no spread.
-    """
-    x = _tail_array(tail)
-    if not xmin > 0:
-        raise DomainError(f"xmin must be > 0, got {xmin}")
-    if x[0] < xmin:
-        raise DomainError("tail values must be >= xmin")
-    n = x.size
-    sum_logs = float(np.log(x / xmin).sum())
-    if sum_logs <= 0.0:
-        raise DegenerateTail("sum(log(x/xmin)) is zero; all mass at xmin")
-    alpha = 1.0 + n / sum_logs
-    stderr = (alpha - 1.0) / math.sqrt(n)
-    loglik = n * math.log(alpha - 1.0) - n * math.log(xmin) - alpha * sum_logs
-    return alpha, stderr, loglik
-
-
 _ALPHA_LO, _ALPHA_HI, _ALPHA_TOL = 1.01, 6.0, 1e-6
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -169,37 +140,43 @@ def _mle_discrete(sum_logx, n, xmin) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def mle_alpha_discrete(tail, xmin: float):
-    """Discrete MLE above integer xmin.
+def mle_alpha(tail: Sample, xmin: float):
+    """(alpha, stderr, loglik) of the MLE of `tail.kind` above xmin, with
+    stderr = (alpha-1)/sqrt(n).
 
-    Maximizes sum(-alpha*log x) - n*log zeta(alpha, xmin) by golden-section
-    search on alpha in [1.01, 6] and raises DegenerateTail when the optimum
-    lies within the search tolerance of either end. Returns (alpha, stderr,
-    loglik) with stderr = (alpha-1)/sqrt(n).
+    Continuous (xmin > 0): the closed form alpha = 1 + n / sum(log(x/xmin)).
+    Discrete (integer xmin >= 1): golden-section search of alpha in [1.01, 6]
+    on the Hurwitz-zeta likelihood. Raises SampleTooSmall below 2 values,
+    DomainError for xmin outside its domain or above a value, and
+    DegenerateTail for a tail with no spread or a discrete optimum at an end
+    of the search range.
     """
-    x = _tail_array(tail)
-    if np.any(x != np.round(x)):
-        raise KindMismatch("discrete tail must be integer-valued")
-    if not (xmin >= 1 and float(xmin).is_integer()):
+    x = tail.values
+    n = x.size
+    if n < 2:
+        raise SampleTooSmall("tail needs at least 2 observations")
+    if tail.kind == CONTINUOUS and not xmin > 0:
+        raise DomainError(f"xmin must be > 0, got {xmin}")
+    if tail.kind == DISCRETE and not (xmin >= 1 and float(xmin).is_integer()):
         raise DomainError(f"discrete xmin must be an integer >= 1, got {xmin}")
     if x[0] < xmin:
         raise DomainError("tail values must be >= xmin")
-    if x[-1] == xmin:
-        raise DegenerateTail("discrete tail has no spread above xmin")
-    n = x.size
-    sum_logx = float(np.log(x).sum())
-    alpha = float(_mle_discrete(sum_logx, n, xmin)[0])
-    if not _ALPHA_LO + _ALPHA_TOL < alpha < _ALPHA_HI - _ALPHA_TOL:
-        raise DegenerateTail(f"discrete MLE alpha = {alpha:.8g} is at the edge "
-                             f"of its search range [{_ALPHA_LO}, {_ALPHA_HI}]")
-    loglik = -(alpha * sum_logx + n * math.log(hurwitz_zeta(alpha, xmin)))
-    stderr = (alpha - 1.0) / math.sqrt(n)
-    return alpha, stderr, loglik
-
-
-def _mle(tail, xmin: float, kind: str):
-    """(alpha, stderr, loglik) of the MLE of `kind` above xmin."""
-    return (mle_alpha_continuous if kind == CONTINUOUS else mle_alpha_discrete)(tail, xmin)
+    if tail.kind == CONTINUOUS:
+        sum_logs = float(np.log(x / xmin).sum())
+        if sum_logs <= 0.0:
+            raise DegenerateTail("sum(log(x/xmin)) is zero; all mass at xmin")
+        alpha = 1.0 + n / sum_logs
+        loglik = n * math.log(alpha - 1.0) - n * math.log(xmin) - alpha * sum_logs
+    else:
+        if x[-1] == xmin:
+            raise DegenerateTail("discrete tail has no spread above xmin")
+        sum_logx = float(np.log(x).sum())
+        alpha = float(_mle_discrete(sum_logx, n, xmin)[0])
+        if not _ALPHA_LO + _ALPHA_TOL < alpha < _ALPHA_HI - _ALPHA_TOL:
+            raise DegenerateTail(f"discrete MLE alpha = {alpha:.8g} is at the edge "
+                                 f"of its search range [{_ALPHA_LO}, {_ALPHA_HI}]")
+        loglik = -(alpha * sum_logx + n * math.log(hurwitz_zeta(alpha, xmin)))
+    return alpha, (alpha - 1.0) / math.sqrt(n), loglik
 
 
 # -- threshold selection ------------------------------------------------------
@@ -395,7 +372,7 @@ def select_xmin(s: Sample, min_tail: int = 50) -> TailFit:
             break
     m = int(c.m[i])
     xmin = float(c.dv[c.k0[i]])
-    alpha, stderr, loglik = _mle(x[n - m:], xmin, s.kind)
+    alpha, stderr, loglik = mle_alpha(Sample(values=x[n - m:], kind=s.kind), xmin)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=float(ks[i]),
                    stderr=stderr, loglik=loglik, kind=s.kind, min_tail=min_tail)
 
@@ -405,13 +382,13 @@ def fit_at(s: Sample, xmin: float) -> TailFit:
     if not 0 < xmin < math.inf:
         raise DomainError(f"xmin must be finite and > 0, got {xmin}")
     xmin = float(xmin)
-    tail = s.values[s.values >= xmin]
+    tail = s.values[np.searchsorted(s.values, xmin):]
     if tail.size < 2:
         raise SampleTooSmall(f"fewer than 2 observations >= {xmin}")
-    alpha, stderr, loglik = _mle(tail, xmin, s.kind)
-    model = PowerLawModel(alpha=alpha, xmin=xmin, kind=s.kind)
-    ks = ks_distance(tail, model)
-    return TailFit(alpha=alpha, xmin=xmin, n_tail=int(tail.size), ks=ks,
+    tail = Sample(values=tail, kind=s.kind)
+    alpha, stderr, loglik = mle_alpha(tail, xmin)
+    ks = ks_distance(tail, PowerLawModel(alpha=alpha, xmin=xmin, kind=s.kind))
+    return TailFit(alpha=alpha, xmin=xmin, n_tail=len(tail), ks=ks,
                    stderr=stderr, loglik=loglik, kind=s.kind)
 
 

@@ -609,13 +609,15 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         outputs[rel] = write_artifact(outdir / rel, text)
 
     if parsed.diagnostics:
-        write("rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
         print(f"rejected {len(parsed.diagnostics)} malformed rows", file=sys.stderr)
     records = parsed.records
     if not records:
         raise SchemaError("no usable records in input")
 
-    records, n_unseen = impute_earnings(records, fit_imputation(records))
+    imputation = fit_imputation(records)  # a refused run writes nothing
+    if parsed.diagnostics:
+        write("rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
+    records, n_unseen = impute_earnings(records, imputation)
     if n_unseen:
         print(f"{n_unseen} records imputed with reference-level category",
               file=sys.stderr)

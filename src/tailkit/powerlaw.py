@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySample
+from .errors import DomainError, KindMismatch
 from .rng import make_rng
 from .sample import CONTINUOUS, DISCRETE, Sample, distinct_runs
 
@@ -180,18 +180,19 @@ def ks_gap(F_hi, e_hi, e_lo, F_lo=None):
     return np.maximum(np.abs(F_hi - e_hi), np.abs(F_lo - e_lo))
 
 
-def ks_distance(tail, model: PowerLawModel) -> float:
+def ks_distance(tail: Sample, model: PowerLawModel) -> float:
     """Sup |empirical CDF - model CDF| over the tail's support.
 
     Evaluated at both step edges of every distinct data point: the upper
     edge against the model CDF at the point, the lower edge against the
     model CDF just below it (for integer support that is F(x-1); for the
     continuous kind the two coincide). This realizes the exact supremum of
-    the step-function gap over the whole half-line.
+    the step-function gap over the whole half-line. Raises KindMismatch
+    when the model's kind is not the tail's.
     """
-    x = tail.values if isinstance(tail, Sample) else np.sort(np.asarray(tail, dtype=float))
-    if x.size == 0:
-        raise EmptySample("KS distance needs a nonempty tail")
+    if model.kind != tail.kind:
+        raise KindMismatch(f"a {model.kind} model cannot be tested on a {tail.kind} tail")
+    x = tail.values
     if x[0] < model.xmin:
         raise DomainError("tail values must be >= model.xmin")
     xs, cum_hi = distinct_runs(x)

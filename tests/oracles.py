@@ -60,8 +60,7 @@ from tailkit.fit import (
     _candidate_indices,
     _distinct_stats,
     _mle_discrete,
-    mle_alpha_continuous,
-    mle_alpha_discrete,
+    mle_alpha,
 )
 from tailkit.growth import DegreeSequence
 from tailkit.pipeline import (
@@ -215,10 +214,7 @@ def select_xmin_exhaustive(s, min_tail=50):
     k0, m, ks = next(t for t in ordered
                      if t[2] <= ks_min + allowance / math.sqrt(t[1]))
     xmin = float(dv[k0])
-    if s.kind == CONTINUOUS:
-        alpha, stderr, loglik = mle_alpha_continuous(x[n - m:], xmin)
-    else:
-        alpha, stderr, loglik = mle_alpha_discrete(x[n - m:], xmin)
+    alpha, stderr, loglik = mle_alpha(make_sample(x[n - m:], kind=s.kind), xmin)
     return TailFit(alpha=alpha, xmin=xmin, n_tail=m, ks=ks,
                    stderr=stderr, loglik=loglik, kind=s.kind, min_tail=min_tail)
 

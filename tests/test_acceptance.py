@@ -125,7 +125,7 @@ def test_criterion_4_oracle_equivalence():
         x = xmin * (1.0 - rng.random(n)) ** (-1.0 / (alpha - 1.0))
         if case % 3 == 0:
             x = np.round(x, 1) + xmin
-        ks_ok += abs(ks_distance(x, model)
+        ks_ok += abs(ks_distance(make_sample(x), model)
                      - ks_naive(list(x), alpha, xmin)) <= 1e-12
 
     ok = scan_ok == 50 and ks_ok == 200

@@ -22,6 +22,17 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_package_exports_exactly_what_it_imports():
+    # a name dropped from the imports of tailkit/__init__.py but not from __all__, or
+    # the reverse, fails here
+    tree = ast.parse(Path(tailkit.__file__).read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(imported) == len(set(imported))
+    assert sorted(imported) == sorted(set(tailkit.__all__) - {"__version__"})
+    assert len(tailkit.__all__) == len(set(tailkit.__all__))
+
+
 def test_every_benchmark_probe_resolves():
     # perfbench patches these by name; a renamed function would fail only in traced runs
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

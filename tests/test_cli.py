@@ -507,6 +507,25 @@ def test_pipeline_on_a_header_only_csv_exits_2_without_an_output_directory(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows, error", [
+    ([], "no usable records in input"),
+    # the rows of the unidentifiable imputation above
+    ([f"c{i},2021,,cat{i},false,{100 + i},{i},{50.0 + i}" for i in range(60)],
+     "imputation model has 63 coefficients for 60 observed rows"),
+], ids=["no_usable_rows", "imputation_refused"])
+def test_pipeline_refused_after_a_rejected_row_leaves_no_output_directory(rows, error, tmp_path,
+                                                                          capsys):
+    path = tmp_path / "rejected.csv"
+    header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
+    path.write_text("\n".join([header, "c1,notayear,,music,false,3,1,20", *rows]) + "\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "pipeline", str(path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"rejected 1 malformed rows\nerror: {error}\n"
+    assert not out.exists()
+
+
 def test_pipeline_says_per_platform_how_many_replicates_failed(fixture_csv, tmp_path,
                                                                monkeypatch, capsys):
     def all_failed(s, fit, n_boot, seed, workers):
@@ -631,6 +650,19 @@ def test_workers_variable_must_be_positive(workers, pareto_file, monkeypatch, ca
     assert code == 2
     assert out == ""
     assert f"error: TAILKIT_WORKERS must be >= 1, got {workers}" in err
+
+
+def test_pipeline_reads_the_workers_variable_only_for_a_bootstrap(fixture_csv, tmp_path,
+                                                                  monkeypatch, capsys):
+    monkeypatch.setenv("TAILKIT_WORKERS", "abc")
+    code, _, err = run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(tmp_path / "a"))
+    assert code == 0, err
+    monkeypatch.setattr(pipeline, "parse_csv", None)  # the variable is read before any input
+    code, out, err = run_cli(capsys, "pipeline", str(fixture_csv), "--out", str(tmp_path / "b"),
+                             "--bootstrap", "100")
+    assert (code, out) == (2, "")
+    assert "error: TAILKIT_WORKERS must be an integer, got 'abc'" in err
+    assert not (tmp_path / "b").exists()
 
 
 def test_make_rng_rejects_a_negative_seed_or_stream_index():

@@ -15,7 +15,7 @@ from tailkit.estimators import (
     hill,
     moments,
 )
-from tailkit.fit import mle_alpha_continuous
+from tailkit.fit import mle_alpha
 from tailkit.powerlaw import PowerLawModel, pl_sample
 from tailkit.rng import make_rng
 from tailkit.sample import make_sample
@@ -82,7 +82,7 @@ def test_hill_equals_continuous_mle_over_top_k():
     k = 200
     thresh = x[-(k + 1)]
     est = hill(make_sample(x), k)
-    alpha_mle, _, _ = mle_alpha_continuous(x[-k:], xmin=thresh)
+    alpha_mle, _, _ = mle_alpha(make_sample(x[-k:]), xmin=thresh)
     assert est.alpha == pytest.approx(alpha_mle, abs=1e-9)
 
 

@@ -22,8 +22,7 @@ from tailkit.fit import (
     _mle_discrete,
     fit_at,
     fit_report,
-    mle_alpha_continuous,
-    mle_alpha_discrete,
+    mle_alpha,
     power_law_proportion,
     select_xmin,
 )
@@ -41,38 +40,38 @@ from samples import spliced
 def test_mle_continuous_log_ladder():
     # every value xmin*e gives sum(log) = n, so alpha = 2 exactly
     e = math.e
-    alpha, stderr, _ = mle_alpha_continuous([2 * e] * 40, xmin=2.0)
+    alpha, stderr, _ = mle_alpha(make_sample([2 * e] * 40), xmin=2.0)
     assert alpha == pytest.approx(2.0, abs=1e-12)
     assert stderr == pytest.approx(1.0 / math.sqrt(40))
 
 
 def test_mle_continuous_two_point_closed_form():
-    alpha, _, _ = mle_alpha_continuous([math.e, math.e**2], xmin=1.0)
+    alpha, _, _ = mle_alpha(make_sample([math.e, math.e**2]), xmin=1.0)
     assert alpha == pytest.approx(1.0 + 2.0 / 3.0, abs=1e-12)
 
 
 def test_mle_continuous_recovers_generator():
     s = pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 100_000, seed=7)
-    alpha, stderr, _ = mle_alpha_continuous(s, xmin=1.0)
+    alpha, stderr, _ = mle_alpha(s, xmin=1.0)
     assert stderr == pytest.approx(1.5 / math.sqrt(100_000), rel=0.05)
     assert abs(alpha - 2.5) < 0.015
 
 
 def test_mle_continuous_degenerate():
     with pytest.raises(DegenerateTail):
-        mle_alpha_continuous([3.0, 3.0, 3.0], xmin=3.0)
+        mle_alpha(make_sample([3.0, 3.0, 3.0]), xmin=3.0)
 
 
 @pytest.mark.parametrize("xmin", [0.0, -1.0, math.nan])
 def test_mle_continuous_rejects_xmin_outside_its_domain(xmin):
     # log(xmin) is undefined there; a math domain error must not escape
     with pytest.raises(DomainError, match="xmin must be > 0"):
-        mle_alpha_continuous([1.0, 2.0, 3.0], xmin=xmin)
+        mle_alpha(make_sample([1.0, 2.0, 3.0]), xmin=xmin)
 
 
 def test_mle_continuous_loglik_is_log_density_sum():
     x = np.array([1.5, 2.0, 7.0, 3.3])
-    alpha, _, ll = mle_alpha_continuous(x, xmin=1.0)
+    alpha, _, ll = mle_alpha(make_sample(x), xmin=1.0)
     dens = (alpha - 1.0) * x ** -alpha  # xmin = 1
     assert ll == pytest.approx(np.log(dens).sum(), rel=1e-12)
 
@@ -82,28 +81,28 @@ def test_mle_continuous_loglik_is_log_density_sum():
 def test_mle_discrete_recovers_generator():
     m = PowerLawModel(alpha=2.5, xmin=5.0, kind="discrete")
     s = pl_sample(m, 100_000, seed=31)
-    alpha, _, _ = mle_alpha_discrete(s, xmin=5.0)
+    alpha, _, _ = mle_alpha(s, xmin=5.0)
     assert abs(alpha - 2.5) < 0.03
 
 
 def test_mle_discrete_degenerate():
     with pytest.raises(DegenerateTail):
-        mle_alpha_discrete([2, 2, 2], xmin=2)
+        mle_alpha(make_sample([2, 2, 2], kind=DISCRETE), xmin=2)
 
 
 def test_mle_discrete_rejects_non_integers():
-    with pytest.raises(KindMismatch):
-        mle_alpha_discrete([2.5, 3.0, 4.0], xmin=2)
+    with pytest.raises(KindMismatch):  # no discrete tail holds a non-integer
+        mle_alpha(make_sample([2.5, 3.0, 4.0], kind=DISCRETE), xmin=2)
     for xmin in (2.5, 0.0, math.inf, math.nan):
         with pytest.raises(DomainError, match="discrete xmin must be an integer >= 1"):
-            mle_alpha_discrete([2.0, 3.0, 4.0], xmin=xmin)
+            mle_alpha(make_sample([2.0, 3.0, 4.0], kind=DISCRETE), xmin=xmin)
 
 
 def test_mle_discrete_at_search_edge_raises():
     # the MLE of a Zipf(9) sample lies above the search range [1.01, 6]
     x = np.random.default_rng(0).zipf(9, 5000)
     with pytest.raises(DegenerateTail, match="edge of its search range"):
-        mle_alpha_discrete(x, xmin=1)
+        mle_alpha(make_sample(x, kind=DISCRETE), xmin=1)
     with pytest.raises(DegenerateTail):
         select_xmin(make_sample(x, kind="discrete"))
 

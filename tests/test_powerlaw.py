@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tailkit.errors import DomainError
+from tailkit.errors import DomainError, KindMismatch
 from tailkit.powerlaw import (
     PowerLawModel,
     hurwitz_zeta,
@@ -15,6 +15,7 @@ from tailkit.powerlaw import (
     pl_sample,
 )
 from tailkit.rng import make_rng
+from tailkit.sample import DISCRETE, make_sample
 
 from oracles import discrete_ppf_grid, discrete_ppf_naive, ks_naive, zeta_naive
 
@@ -216,19 +217,19 @@ def test_ks_quantile_grid_construction():
     # points at u = (i-0.5)/4 of the model: every gap is exactly 1/8
     m = PowerLawModel(alpha=2.0, xmin=1.0)
     pts = pl_ppf(m, np.array([0.125, 0.375, 0.625, 0.875]))
-    assert ks_distance(pts, m) == pytest.approx(0.125, abs=1e-12)
+    assert ks_distance(make_sample(pts), m) == pytest.approx(0.125, abs=1e-12)
 
 
 def test_ks_all_mass_at_xmin():
     m = PowerLawModel(alpha=2.0, xmin=1.0)
-    assert ks_distance([1.0, 1.0, 1.0, 1.0], m) == pytest.approx(1.0)
+    assert ks_distance(make_sample([1.0, 1.0, 1.0, 1.0]), m) == pytest.approx(1.0)
 
 
 def test_ks_steep_model_far_tail():
     # alpha=50 puts essentially all model mass at xmin; data far above
     # xmin therefore violates it maximally
     m = PowerLawModel(alpha=50.0, xmin=1.0)
-    d = ks_distance([2.0, 3.0, 400.0], m)
+    d = ks_distance(make_sample([2.0, 3.0, 400.0]), m)
     assert d > 0.95
 
 
@@ -243,7 +244,7 @@ def test_ks_matches_double_loop_oracle(case_seed):
     x = xmin * (1.0 - rng.random(n)) ** (-1.0 / (alpha - 1.0))
     if rng.random() < 0.3:
         x = np.round(x, 1) + xmin  # force ties, keep >= xmin
-    assert ks_distance(x, m) == pytest.approx(
+    assert ks_distance(make_sample(x), m) == pytest.approx(
         ks_naive(list(x), alpha, xmin), abs=1e-12)
 
 
@@ -253,6 +254,14 @@ def test_ks_discrete_matches_double_loop_oracle():
     for _ in range(25):
         n = int(rng.integers(3, 30))
         x = np.asarray(pl_ppf(m, rng.random(n)))
-        ours = ks_distance(x, m)
+        ours = ks_distance(make_sample(x, kind=DISCRETE), m)
         ref = ks_naive(list(x), 2.2, 2.0, kind="discrete")
         assert ours == pytest.approx(ref, abs=1e-9)
+
+
+def test_ks_refuses_a_model_of_the_other_kind():
+    # the discrete step edges P(X <= v) and P(X <= v-1) hold only on integer support
+    with pytest.raises(KindMismatch, match="a discrete model cannot be tested on a continuous"):
+        ks_distance(make_sample([1.5, 2.5, 4.0]), PowerLawModel(2.5, 1.0, DISCRETE))
+    with pytest.raises(KindMismatch, match="a continuous model cannot be tested on a discrete"):
+        ks_distance(make_sample([1, 2, 4], kind=DISCRETE), PowerLawModel(2.5, 1.0))
