@@ -176,9 +176,11 @@ def cmd_compare(args) -> int:
     if sample.n_rejected:
         print(f"rejected {sample.n_rejected} non-finite or non-positive values",
               file=sys.stderr)
-    if np.array_equal(sample.values, np.floor(sample.values)):
-        print("integer-valued sample: hill, adjusted_hill and moments assume continuous "
-              "data, and ties bias them", file=sys.stderr)
+    repeats = np.count_nonzero(sample.values[1:] == sample.values[:-1])
+    if repeats:
+        print(f"{repeats} of the {len(sample)} values repeat a value already counted: "
+              "hill, adjusted_hill and moments assume continuous data, and ties bias them",
+              file=sys.stderr)
     estimates = estimator_comparison(sample, seed=args.seed)
     if k_exceeds_tail(estimates)[1]:
         cns, k = estimates[0], estimates[1].k_used

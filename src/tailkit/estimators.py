@@ -101,13 +101,13 @@ def adjusted_hill(s: Sample, k: int) -> TailIndexEstimate:
     extrapolated to k' -> 0; the regression intercept is the corrected gamma.
     """
     n = len(s)
-    if k < 2:  # the grid below runs up from 2, so it is non-decreasing
+    if not 2 <= k < n:  # so the grid below is non-decreasing and ends at k
         raise DomainError(f"need 2 <= k < n, got k={k}, n={n}")
     grid = distinct_runs(np.linspace(max(2, k // 5), k, _ADJ_GRID_POINTS).astype(int))[0]
-    grid = grid[grid < n]
     if grid.size < _ADJ_MIN_POINTS:
         raise InsufficientGrid(f"only {grid.size} grid points below k={k}")
-    gammas = np.array([hill(s, int(kk)).gamma for kk in grid])
+    hills = [hill(s, int(kk)) for kk in grid]
+    gammas = np.array([e.gamma for e in hills])
     u = grid / n
     slope, intercept = np.polyfit(u, gammas, 1)
     resid = gammas - (slope * u + intercept)
@@ -115,7 +115,7 @@ def adjusted_hill(s: Sample, k: int) -> TailIndexEstimate:
     gamma = float(intercept)
     alpha = 1.0 + 1.0 / gamma if gamma > 0 else None
     return TailIndexEstimate(method=ADJUSTED_HILL, gamma=gamma, alpha=alpha,
-                             k_used=k, threshold=hill(s, k).threshold,
+                             k_used=k, threshold=hills[-1].threshold,
                              stderr=stderr)
 
 
@@ -123,16 +123,22 @@ def adjusted_hill(s: Sample, k: int) -> TailIndexEstimate:
 
 _DBS_REPLICATES = 200
 _DBS_K_FRACTION = 0.9  # ignore k above this fraction of the resample size
+_DBS_PRUNE_AFTER = 20  # replicates summed before the evaluated prefix is first cut
+_DBS_PRUNE_SLACK = 3.0  # kept k: partial sum within this factor of the projected minimum
 
 
-def _amse_curve(logx: np.ndarray, nb: int, hi: int, rng, replicates: int) -> np.ndarray:
-    """Mean over bootstrap resamples of (M2 - 2*M1^2)^2 for k = 1..hi.
+def _amse_sums(logx: np.ndarray, nb: int, hi: int, rng, replicates: int,
+               prune: bool) -> tuple[np.ndarray, float]:
+    """Sums over `replicates` resamples of (M2 - 2*M1^2)^2 for k = 1..h, h <= hi,
+    and the smallest partial sum among the k past h that were cut off.
 
-    `logx` is log(x) of the ascending sample. A resample of size nb is a
-    sorted index draw; its top hi + 1 logs, gathered in descending order,
-    are all that the curve up to k = hi reads. The arithmetic runs in place
-    in four buffers, in the same operation order as the per-replicate
-    formula, so every entry has the same bits as a fresh evaluation.
+    Unpruned, h = hi. Pruned, from replicate _DBS_PRUNE_AFTER on, h is cut
+    after each replicate r to the last k whose partial sum is at most
+    _DBS_PRUNE_SLACK * (replicates / r) times the smallest one over k >= 2
+    (at least k = 2). Each resample still draws all nb indices, so the
+    generator ends where the unpruned run ends; only its top h + 1 are
+    selected, sorted and gathered, and the arithmetic runs on the buffer
+    prefixes [:h], whose entries have the bits they have unpruned.
     """
     n = logx.size
     # the bounded draw gives the same integers as int64, and int32 sorts faster
@@ -140,10 +146,16 @@ def _amse_curve(logx: np.ndarray, nb: int, hi: int, rng, replicates: int) -> np.
     k = np.arange(1, hi + 1, dtype=float)
     acc = np.zeros(hi)
     c1, c2, m1, t = (np.empty(hi) for _ in range(4))
-    for _ in range(replicates):
+    h, floor = hi, math.inf
+    for r in range(1, replicates + 1):
         idx = rng.integers(0, n, nb, dtype=dtype)  # the draw of rng.choice(x, nb)
-        idx.sort()
-        logs = logx[idx[::-1][:hi + 1]]  # descending
+        lo = nb - h - 1
+        if h == hi:
+            idx.sort()
+        else:
+            idx.partition(lo)
+            idx[lo:].sort()
+        logs = logx[idx[lo:][::-1]]  # top h + 1, descending
         head, tail = logs[:-1], logs[1:]
         np.cumsum(head, out=c1)
         np.square(head, out=c2)
@@ -162,6 +174,38 @@ def _amse_curve(logx: np.ndarray, nb: int, hi: int, rng, replicates: int) -> np.
         c2 -= m1
         np.square(c2, out=c2)
         acc += c2
+        if prune and r >= _DBS_PRUNE_AFTER and h > 2:
+            least = np.fmin.reduce(acc[1:], initial=math.inf)  # NaN-skipping min, k >= 2
+            kept = np.flatnonzero(acc[1:] <= _DBS_PRUNE_SLACK * (replicates / r) * least)
+            h = int(kept[-1]) + 2 if kept.size else 2
+            floor = min(floor, float(np.fmin.reduce(acc[h:], initial=math.inf)))
+            k, acc, c1, c2, m1, t = (b[:h] for b in (k, acc, c1, c2, m1, t))
+    return acc, floor
+
+
+def _amse_curve(logx: np.ndarray, nb: int, hi: int, rng, replicates: int) -> np.ndarray:
+    """Mean over bootstrap resamples of (M2 - 2*M1^2)^2 for k = 1..h, where
+    h <= hi is long enough to hold the curve's first minimum over k >= 2.
+
+    `logx` is log(x) of the ascending sample. A resample of size nb is a
+    sorted index draw; its top h + 1 logs, gathered in descending order,
+    are all that the curve up to k = h reads. The arithmetic runs in place
+    in four buffers, in the same operation order as the per-replicate
+    formula, so every entry has the same bits as a fresh evaluation.
+
+    The sums are pruned as `_amse_sums` describes, and the prefix is kept
+    only if its smallest sum over k >= 2 is finite and below every partial
+    sum cut off. Sums of nonnegative squares never decrease in float64, so
+    every k cut off ends above the kept minimum, and lies past every kept
+    k: `np.nanargmin` over the full curve returns the same first index.
+    Otherwise the generator is rewound to its state on entry and the curve
+    is recomputed up to hi, unpruned.
+    """
+    state = rng.bit_generator.state
+    acc, floor = _amse_sums(logx, nb, hi, rng, replicates, prune=True)
+    if acc.size < hi and not np.fmin.reduce(acc[1:], initial=math.inf) < floor:
+        rng.bit_generator.state = state
+        acc, _ = _amse_sums(logx, nb, hi, rng, replicates, prune=False)
     return acc / replicates
 
 
@@ -180,6 +224,12 @@ def double_bootstrap_k(s: Sample, seed: int) -> int:
     strided log and a contiguous one with different kernels, which differ
     in the last bit on a few values in a thousand, and the strided one
     keeps the AMSE curve, and so k*, bit for bit what they were.
+
+    Each curve stops at the k past which `_amse_curve` has shown that no
+    k can hold the first minimum of the full curve up to 0.9 * nb: the
+    partial sums cut off already exceed the kept minimum, and sums of
+    squares only grow. So k1, k2 and k* are those of the full curve, and
+    when that cannot be shown the curve is recomputed in full.
     """
     x = s.values
     n = x.size

@@ -362,6 +362,35 @@ def test_compare_warns_that_ties_bias_the_hill_type_rows(pareto_file, tmp_path, 
     assert warning not in err
 
 
+def test_compare_warns_with_the_count_of_repeated_values(tmp_path, capsys):
+    # Pareto values rounded to cents: not all whole numbers, but many ties
+    values = np.round(pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 20_000, seed=2).values, 2)
+    assert not np.array_equal(values, np.floor(values))
+    path = tmp_path / "cents.csv"
+    path.write_text("\n".join(f"{v:.2f}" for v in values), encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", str(path), "--seed", "3")
+    assert code == 0, err
+    repeats = values.size - np.unique(values).size
+    assert repeats > 0
+    assert err.count(f"{repeats} of the 20000 values repeat a value already counted: "
+                     "hill, adjusted_hill and moments assume continuous data, "
+                     "and ties bias them") == 1
+    assert out.splitlines()[0] == "method,alpha,gamma,threshold,stderr,k_exceeds_tail"
+
+
+def test_compare_does_not_warn_on_distinct_whole_numbers(tmp_path, capsys):
+    # every float64 at or above 2^53 is a whole number; scaling by it is exact
+    values = 2.0**53 * pl_sample(PowerLawModel(alpha=2.5, xmin=1.0), 5000, seed=4).values
+    assert np.array_equal(values, np.floor(values))
+    assert np.unique(values).size == values.size
+    path = tmp_path / "whole.csv"
+    path.write_text("\n".join(repr(float(v)) for v in values), encoding="utf-8")
+    code, out, err = run_cli(capsys, "compare", str(path), "--seed", "3")
+    assert code == 0, err
+    assert "ties bias" not in err
+    assert len(out.splitlines()) == 5
+
+
 # -- pipeline ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

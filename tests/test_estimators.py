@@ -198,17 +198,26 @@ def _double_bootstrap_with(s, seed, curve):
 
 
 def _assert_amse_curves_equal_loop(s, seed):
+    """Each curve `_amse_curve` returns is, bit for bit, the prefix of the
+    loop oracle's curve up to 0.9 * nb of the same length, and k* is the
+    oracle's; returns both phases' curves, ours then the oracle's."""
     k, curves = _double_bootstrap_with(s, seed, estimators._amse_curve)
     k_loop, loop = _double_bootstrap_with(
         s, seed, lambda logx, nb, hi, rng, r: amse_curve_loop(s.values, nb, rng, r)[:hi])
-    assert [c.tobytes() for c in curves] == [c.tobytes() for c in loop]
+    assert len(curves) == len(loop) == 2
+    assert [c.tobytes() for c in curves] == [o[:c.size].tobytes() for c, o in zip(curves, loop)]
     assert k == k_loop == double_bootstrap_k(s, seed)
+    return curves, loop
+
+
+def _frechet_30k():
+    return make_sample((-np.log(make_rng(2).random(30_000))) ** (-1 / 1.5))
 
 
 @pytest.mark.parametrize("case", ["frechet_30k", "spliced_30k", "pareto_file", "n_500"])
 def test_amse_curve_equals_loop_oracle(case, pareto_file):
     if case == "frechet_30k":
-        s = make_sample((-np.log(make_rng(2).random(30_000))) ** (-1 / 1.5))
+        s = _frechet_30k()
     elif case == "spliced_30k":
         s = make_sample(spliced(30_000, 25))
     elif case == "pareto_file":
@@ -216,6 +225,30 @@ def test_amse_curve_equals_loop_oracle(case, pareto_file):
     else:
         s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 500, seed=11)
     _assert_amse_curves_equal_loop(s, seed=3)
+
+
+def test_amse_curve_is_cut_short_on_a_smooth_tail():
+    curves, loop = _assert_amse_curves_equal_loop(_frechet_30k(), seed=3)
+    assert all(c.size < o.size for c, o in zip(curves, loop))
+
+
+def test_amse_curve_recomputed_in_full_when_the_cut_cannot_be_shown_safe(monkeypatch):
+    # with no slack every phase is cut to k <= 2 at replicate 20, and the
+    # kept minimum then ends above a partial sum cut off
+    monkeypatch.setattr(estimators, "_DBS_PRUNE_SLACK", 0.0)
+    curves, loop = _assert_amse_curves_equal_loop(_frechet_30k(), seed=3)
+    assert [c.size for c in curves] == [o.size for o in loop]
+
+
+@pytest.mark.parametrize("slack", [estimators._DBS_PRUNE_SLACK, 0.0])
+def test_amse_curve_leaves_the_generator_where_the_loop_does(slack, monkeypatch):
+    monkeypatch.setattr(estimators, "_DBS_PRUNE_SLACK", slack)
+    x = _frechet_30k().values
+    nb = int(x.size**0.95)
+    ours, theirs = make_rng(4), make_rng(4)
+    estimators._amse_curve(np.log(x), nb, int(0.9 * nb), ours, 200)
+    amse_curve_loop(x, nb, theirs, 200)
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
 
 
 @settings(deadline=None, max_examples=20)
