@@ -27,8 +27,8 @@ for x in (1.0, 2.0, 10.0):
 
 # Inverse-CDF sampling is deterministic for a fixed seed.
 sample = pl_sample(model, n=100_000, seed=7)
-print(f"\nsample of {len(sample)} draws: min={sample.min:.3f} "
-      f"median={np.median(sample.values):.3f} max={sample.max:.1f}")
+print(f"\nsample of {len(sample)} draws: min={sample.values[0]:.3f} "
+      f"median={np.median(sample.values):.3f} max={sample.values[-1]:.1f}")
 print("closed-form median:", model.xmin * 2 ** (1 / (model.alpha - 1)))
 
 # The empirical CCDF tracks the model CCDF uniformly (DKW-style bound).

@@ -16,101 +16,22 @@ The library covers four jobs that belong together:
 plus a creator-earnings CSV pipeline (`tailkit.pipeline`), figure emitters
 (`tailkit.report`), synthetic fixtures (`tailkit.fixtures`), and a CLI
 (`python -m tailkit.cli` or the `tailkit` entry point).
+
+`import tailkit` exports `__version__` and exactly the names in the
+`__all__` of `errors`, `estimators`, `fit`, `growth`, `powerlaw` and
+`sample`; each public name is declared once, in its module's `__all__`.
+Other modules are reached by name (`tailkit.pipeline`, `tailkit.report`).
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateTail,
-    DomainError,
-    EmptySample,
-    InsufficientGrid,
-    KindMismatch,
-    RenderError,
-    SampleTooSmall,
-    SchemaError,
-    SingularDesign,
-    TailkitError,
-)
-from .estimators import (
-    TailIndexEstimate,
-    adjusted_hill,
-    double_bootstrap_k,
-    estimator_comparison,
-    hill,
-    moments,
-)
-from .fit import (
-    GofResult,
-    TailFit,
-    fit_at,
-    fit_report,
-    gof_pvalue,
-    mle_alpha,
-    power_law_proportion,
-    select_xmin,
-)
-from .growth import (
-    DegreeSequence,
-    ccdf_slope,
-    measure_exponent,
-    simulate_ba,
-    simulate_copy,
-    theoretical_alpha,
-)
-from .powerlaw import (
-    PowerLawModel,
-    hurwitz_zeta,
-    ks_distance,
-    pl_ccdf,
-    pl_pdf,
-    pl_ppf,
-    pl_sample,
-)
-from .sample import CONTINUOUS, DISCRETE, Sample, empirical_ccdf, make_sample
+from . import errors, estimators, fit, growth, powerlaw, sample
+from .errors import *
+from .estimators import *
+from .fit import *
+from .growth import *
+from .powerlaw import *
+from .sample import *
 
-__all__ = [
-    "__version__",
-    "CONTINUOUS",
-    "DISCRETE",
-    "DegenerateTail",
-    "DegreeSequence",
-    "DomainError",
-    "EmptySample",
-    "GofResult",
-    "InsufficientGrid",
-    "KindMismatch",
-    "PowerLawModel",
-    "RenderError",
-    "Sample",
-    "SampleTooSmall",
-    "SchemaError",
-    "SingularDesign",
-    "TailFit",
-    "TailIndexEstimate",
-    "TailkitError",
-    "adjusted_hill",
-    "ccdf_slope",
-    "double_bootstrap_k",
-    "empirical_ccdf",
-    "estimator_comparison",
-    "fit_at",
-    "fit_report",
-    "gof_pvalue",
-    "hill",
-    "hurwitz_zeta",
-    "ks_distance",
-    "make_sample",
-    "measure_exponent",
-    "mle_alpha",
-    "moments",
-    "pl_ccdf",
-    "pl_pdf",
-    "pl_ppf",
-    "pl_sample",
-    "power_law_proportion",
-    "select_xmin",
-    "simulate_ba",
-    "simulate_copy",
-    "theoretical_alpha",
-]
+__all__ = ["__version__", *errors.__all__, *estimators.__all__, *fit.__all__,
+           *growth.__all__, *powerlaw.__all__, *sample.__all__]

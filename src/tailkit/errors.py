@@ -1,5 +1,10 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "TailkitError", "EmptySample", "DomainError", "DegenerateTail", "KindMismatch",
+    "SampleTooSmall", "InsufficientGrid", "SchemaError", "SingularDesign", "RenderError",
+]
+
 
 class TailkitError(Exception):
     """Base class for all tailkit errors."""

@@ -24,8 +24,6 @@ __all__ = [
     "adjusted_hill",
     "double_bootstrap_k",
     "estimator_comparison",
-    "k_exceeds_tail",
-    "comparison_csv",
 ]
 
 HILL = "hill"

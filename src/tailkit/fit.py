@@ -57,10 +57,8 @@ __all__ = [
     "TailFit",
     "GofResult",
     "mle_alpha",
-    "check_min_tail",
     "select_xmin",
     "fit_at",
-    "check_n_boot",
     "gof_pvalue",
     "power_law_proportion",
     "fit_report",

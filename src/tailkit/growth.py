@@ -46,7 +46,6 @@ __all__ = [
     "simulate_ba",
     "measure_exponent",
     "ccdf_slope",
-    "degrees_csv",
 ]
 
 COPY = "copy"
@@ -242,9 +241,9 @@ def simulate_ba(n_nodes: int, m: int = 1, seed: int = 0) -> DegreeSequence:
     return DegreeSequence(counts=np.bincount(urn, minlength=n), steps=n_edges)
 
 
-def measure_exponent(d: DegreeSequence, min_tail: int = 50) -> TailFit:
+def measure_exponent(d: DegreeSequence) -> TailFit:
     """Discrete tail fit of the positive counts of a run."""
-    return select_xmin(make_sample(d.counts, kind=DISCRETE), min_tail)
+    return select_xmin(make_sample(d.counts, kind=DISCRETE))
 
 
 def ccdf_slope(d: DegreeSequence, lo: float = 10.0, hi: float = 500.0) -> float:

@@ -343,11 +343,13 @@ def _parse_block(rows, lines, position, decode, diagnostics) -> dict:
 
 # -- imputation -----------------------------------------------------------------
 
-def _design(table: EarningsTable, rows, categories, years) -> np.ndarray:
+def _design(table: EarningsTable, rows, categories, years) -> tuple:
     """Regression rows of the table's `rows`: intercept, paid_members, members,
     category one-hots, nsfw, year one-hots. The first level of each block
     is the reference and carries no column; unseen levels collapse to the
-    reference."""
+    reference. Returns (X, unseen), `unseen` marking the rows whose category
+    or year is unseen in a block of at least 2 levels (in a block of one,
+    the reference loses nothing)."""
     n_cat = max(len(categories) - 1, 0)
     n_year = max(len(years) - 1, 0)
     X = np.zeros((len(rows), 4 + n_cat + n_year))
@@ -359,10 +361,13 @@ def _design(table: EarningsTable, rows, categories, years) -> np.ndarray:
     year = table.year[rows]
     pos = np.minimum(np.searchsorted(years, year), len(years) - 1)
     year_level = np.where(np.take(years, pos) == year, pos, -1)
-    for offset, level in ((2, cat_level), (3 + n_cat, year_level)):
+    unseen = np.zeros(len(rows), dtype=bool)
+    for offset, level, n_levels in ((2, cat_level, len(categories)),
+                                    (3 + n_cat, year_level, len(years))):
         hit = np.flatnonzero(level > 0)
         X[hit, offset + level[hit]] = 1.0
-    return X
+        unseen |= (level < 0) & (n_levels > 1)
+    return X, unseen
 
 
 @dataclass(frozen=True)
@@ -406,7 +411,7 @@ def fit_imputation(table: EarningsTable) -> ImputationModel:
     if n_coef >= observed.size:
         raise SingularDesign(f"imputation model has {n_coef} coefficients for "
                              f"{observed.size} observed rows")
-    X = _design(table, rows, categories, years)
+    X, _ = _design(table, rows, categories, years)
     y = table.earnings[rows]
     gram = X.T @ X + _RIDGE_JITTER * np.eye(X.shape[1])
     with np.errstate(over="ignore"):  # an overflow gives the error below
@@ -437,19 +442,17 @@ def impute_earnings(table: EarningsTable, model: ImputationModel):
     """Fill missing earnings with model predictions (clamped at 0) and flag
     those rows `imputed`.
 
-    Observed rows pass through untouched. Rows whose category the model has
-    never seen are imputed with the reference-level encoding; their count
-    is returned alongside the table.
+    Observed rows pass through untouched. Rows whose category or year the
+    model has never seen are imputed with the reference-level encoding;
+    their count is returned alongside the table.
     """
     missing = np.flatnonzero(np.isnan(table.earnings))
-    X = _design(table, missing, model.categories, model.years)
+    X, unseen = _design(table, missing, model.categories, model.years)
     earnings, imputed = table.earnings.copy(), table.imputed.copy()
     # one dot product per row: a matrix product rounds some rows differently
     earnings[missing] = [max(float(x @ model.coef), 0.0) for x in X]
     imputed[missing] = True
-    known = (_levels(model.categories, table.categories) >= 0) | (len(model.categories) < 2)
-    n_unseen = int(missing.size - known[table.category_code[missing]].sum())
-    return dataclasses.replace(table, earnings=earnings, imputed=imputed), n_unseen
+    return dataclasses.replace(table, earnings=earnings, imputed=imputed), int(unseen.sum())
 
 
 # -- filtering and segmentation ----------------------------------------------------
@@ -619,7 +622,7 @@ def run_pipeline(input, outdir, *, floor, floor_inclusive, min_tail, bootstrap,
         write("rejected_rows.log", "\n".join(parsed.diagnostics) + "\n")
     records, n_unseen = impute_earnings(records, imputation)
     if n_unseen:
-        print(f"{n_unseen} records imputed with reference-level category",
+        print(f"{n_unseen} records imputed with a reference-level category or year",
               file=sys.stderr)
     records, n_dropped = filter_floor(records, floor=floor, inclusive=floor_inclusive)
     print(f"floor filter dropped {n_dropped} records", file=sys.stderr)

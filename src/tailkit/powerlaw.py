@@ -21,7 +21,6 @@ __all__ = [
     "pl_ppf",
     "pl_sample",
     "ks_distance",
-    "ks_gap",
 ]
 
 

@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import DomainError, EmptySample, KindMismatch
 
+__all__ = ["CONTINUOUS", "DISCRETE", "Sample", "make_sample", "empirical_ccdf"]
+
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 
@@ -61,14 +63,6 @@ class Sample:
 
     def __len__(self):
         return self.values.size
-
-    @property
-    def min(self) -> float:
-        return float(self.values[0])
-
-    @property
-    def max(self) -> float:
-        return float(self.values[-1])
 
 
 def make_sample(values, kind: str = CONTINUOUS) -> Sample:

@@ -781,8 +781,9 @@ def impute_rows(records, model: ImputationModel):
         if r.earnings is not None:
             out.append(r)
             continue
-        if not (len(model.categories) <= 1 or r.category in model.categories):
-            n_unseen += 1
+        seen = ((len(model.categories) <= 1 or r.category in model.categories)
+                and (len(model.years) <= 1 or r.year in model.years))
+        n_unseen += not seen
         pred = float(design_row(r, model.categories, model.years) @ model.coef)
         out.append(r._replace(earnings=max(pred, 0.0), imputed=True))
     return out, n_unseen

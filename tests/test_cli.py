@@ -74,6 +74,14 @@ def test_fit_xmin_outside_its_domain_exit_code(pareto_file, xmin, capsys):
     assert "error: xmin must be finite and > 0" in err
 
 
+def test_fit_xmin_above_all_but_one_value_exit_code(tmp_path, capsys):
+    path = tmp_path / "ladder.csv"
+    path.write_text("\n".join(str(v) for v in range(1, 101)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "fit", str(path), "--xmin", "100")
+    assert (code, out) == (3, "")
+    assert "error: fewer than 2 observations >= 100.0" in err
+
+
 def test_fit_xmin_still_checks_min_tail(pareto_file, capsys):
     code, out, err = run_cli(capsys, "fit", str(pareto_file), "--min-tail", "1",
                              "--xmin", "3")
@@ -523,6 +531,21 @@ def test_pipeline_with_unidentifiable_imputation_exits_2(tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert err == "error: imputation model has 63 coefficients for 60 observed rows\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("year, category", [(2030, "music"), (2018, "art")])
+def test_pipeline_says_how_many_rows_it_imputed_with_a_reference_level(year, category,
+                                                                       tmp_path, capsys):
+    # the model sees the years 2018 and 2024 and the categories comics and music
+    path = tmp_path / "levels.csv"
+    header = "creator_id,year,platforms,category,nsfw,members,paid_members,earnings"
+    rows = [f"c{i},{(2018, 2024)[i % 2]},youtube,{('music', 'comics')[i // 2 % 2]},false,"
+            f"{100 + i},{i},{50.0 + 3 * i}" for i in range(80)]
+    rows += [f"m{i},{year},youtube,{category},false,100,10," for i in range(4)]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "pipeline", str(path), "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert "4 records imputed with a reference-level category or year\n" in err
 
 
 def test_pipeline_on_a_header_only_csv_exits_2_without_an_output_directory(tmp_path, capsys):

@@ -128,6 +128,12 @@ def test_moments_short_tail_reports_nonpositive_gamma():
     assert est.alpha is None
 
 
+def test_moments_refuses_log_spacings_of_zero_variance():
+    # the top 4 values are equal and above the threshold: every spacing is log 2
+    with pytest.raises(DegenerateTail, match="zero variance of log-spacings"):
+        moments(make_sample([1.0] * 6 + [2.0] * 4), k=4)
+
+
 # -- adjusted hill -----------------------------------------------------------------
 
 def test_adjusted_hill_matches_hill_on_pure_pareto():

@@ -69,6 +69,15 @@ def test_mle_continuous_rejects_xmin_outside_its_domain(xmin):
         mle_alpha(make_sample([1.0, 2.0, 3.0]), xmin=xmin)
 
 
+@pytest.mark.parametrize("values, xmin, error, message", [
+    ([3.0], 1.0, SampleTooSmall, "at least 2 observations"),
+    ([1.0, 2.0, 3.0], 1.5, DomainError, "tail values must be >= xmin"),
+], ids=["one value", "value below xmin"])
+def test_mle_refuses_a_tail_it_cannot_fit(values, xmin, error, message):
+    with pytest.raises(error, match=message):
+        mle_alpha(make_sample(values), xmin=xmin)
+
+
 def test_mle_continuous_loglik_is_log_density_sum():
     x = np.array([1.5, 2.0, 7.0, 3.3])
     alpha, _, ll = mle_alpha(make_sample(x), xmin=1.0)

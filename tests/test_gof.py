@@ -120,7 +120,7 @@ def test_gof_rejects_a_fit_of_another_kind(pareto_fit, monkeypatch):
 def test_gof_all_tail_sample():
     # xmin at the sample minimum: body is empty, every draw is a tail draw
     s = pl_sample(PowerLawModel(alpha=2.0, xmin=1.0), 2000, seed=9)
-    fit = fit_at(s, s.min)
+    fit = fit_at(s, s.values[0])
     g = gof_pvalue(s, fit, n_boot=100, seed=2)
     assert 0.0 <= g.p_value <= 1.0
 

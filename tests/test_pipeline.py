@@ -89,6 +89,7 @@ def test_parse_rejects_malformed_numbers_with_line_numbers(tmp_path):
     res = parse_csv(p)
     assert len(res.records) == 1
     assert [d.split(":")[0] for d in res.diagnostics] == ["line 2", "line 3"]
+    assert res.n_rejected == 2
 
 
 def test_parse_multiplatform_field(tmp_path):
@@ -158,7 +159,7 @@ def test_imputation_recovers_planted_slope():
 
 def test_imputation_predicts_missing():
     model = fit_imputation(synthetic_training())
-    missing = rec(paid_members=100, members=150, earnings=None)
+    missing = rec(year=2018, paid_members=100, members=150, earnings=None)
     out, n_unseen = impute_earnings(table(missing), model)
     [r] = out
     assert r.imputed and n_unseen == 0
@@ -193,6 +194,29 @@ def test_imputation_unseen_category_flagged():
     out, n_unseen = impute_earnings(table(odd), model)
     [r] = out
     assert n_unseen == 1 and r.imputed
+
+
+@pytest.mark.parametrize("year, category, unseen", [
+    (2018, "music", 0), (2030, "music", 1), (2024, "basketweaving", 1),
+    (2030, "basketweaving", 1)])
+def test_imputation_counts_rows_with_an_unseen_year_or_category(year, category, unseen):
+    # an unseen level is imputed as the reference level, 2018 or "comics"
+    model = fit_imputation(synthetic_training())
+    missing = rec(year=year, category=category, paid_members=10, earnings=None)
+    as_reference = rec(year=2018 if year == 2030 else year,
+                       category="comics" if category == "basketweaving" else category,
+                       paid_members=10, earnings=None)
+    out, n_unseen = impute_earnings(table(missing, as_reference), model)
+    [r, ref] = out
+    assert n_unseen == unseen and r.earnings == ref.earnings
+
+
+def test_imputation_with_one_year_and_category_counts_no_level_unseen():
+    # with a single level, the reference loses nothing
+    model = fit_imputation(table(*(r for r in synthetic_training() if r.year == 2018)))
+    assert (model.categories, model.years) == (("music",), (2018,))
+    _, n_unseen = impute_earnings(table(rec(year=2030, category="art", earnings=None)), model)
+    assert n_unseen == 0
 
 
 def test_imputation_requires_enough_rows():

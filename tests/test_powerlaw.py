@@ -37,6 +37,24 @@ def test_model_rejects_bad_params():
             PowerLawModel(alpha=2.0, xmin=math.inf, kind=kind)
 
 
+PARETO = PowerLawModel(alpha=2.5, xmin=2.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PowerLawModel(alpha=2.5, xmin=1.0, kind="lognormal"), "unknown kind"),
+    (lambda: hurwitz_zeta(1.0, 1.0), "needs s > 1"),
+    (lambda: hurwitz_zeta(2.0, 0.0), "needs q > 0"),
+    (lambda: pl_ppf(PARETO, [0.5, 1.0]), r"u must lie in \[0, 1\)"),
+    (lambda: pl_ppf(PARETO, -0.1), r"u must lie in \[0, 1\)"),
+    (lambda: pl_sample(PARETO, 0, seed=1), "n must be >= 1, got 0"),
+    (lambda: ks_distance(make_sample([1.0, 2.0, 4.0]), PARETO), "must be >= model.xmin"),
+], ids=["unknown kind", "zeta s <= 1", "zeta q <= 0", "u = 1", "u < 0", "n = 0",
+        "tail below xmin"])
+def test_refuses_arguments_outside_the_domain(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 # -- ccdf/cdf ------------------------------------------------------------------
 
 def test_ccdf_threshold_point():
@@ -155,7 +173,7 @@ def test_sample_overflow_is_named_without_a_warning():
 def test_sample_respects_xmin_and_kind():
     md = PowerLawModel(alpha=2.5, xmin=5.0, kind="discrete")
     s = pl_sample(md, 2000, seed=9)
-    assert s.min >= 5.0
+    assert s.values[0] >= 5.0
     assert np.all(s.values == np.round(s.values))
 
 

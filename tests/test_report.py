@@ -232,6 +232,16 @@ def test_svg_empty_errors():
         render_svg([])
 
 
+@pytest.mark.parametrize("series, message", [
+    ([PlotSeries("a", [(1.0, 1.0)]), PlotSeries("b", [(1.0, 1.0)], scale=LINEAR)],
+     "cannot mix scales"),
+    ([PlotSeries("a", [])], "'a' is empty"),
+], ids=["mixed scales", "empty series"])
+def test_svg_refuses_series_it_cannot_draw(series, message):
+    with pytest.raises(RenderError, match=message):
+        render_svg(series)
+
+
 def test_loglog_rejects_nonpositive_points():
     with pytest.raises(RenderError, match="demo"):
         PlotSeries(name="demo", points=((0.0, 1.0),))

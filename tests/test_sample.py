@@ -35,6 +35,8 @@ def test_make_sample_empty_after_filter():
         make_sample([-1, 0])
     with pytest.raises(EmptySample):
         make_sample([])
+    with pytest.raises(EmptySample, match="at least one observation"):
+        Sample(values=np.array([]))
 
 
 def test_sample_is_immutable():
